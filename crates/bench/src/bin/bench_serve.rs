@@ -1,41 +1,31 @@
-//! Machine-readable serving-layer benchmark: drives the sharded
-//! streaming pipeline and the concurrent `ResolverService` and writes
-//! `BENCH_serve.json` (see `crowder_bench::serveperf` for the schema) —
-//! the unsharded-vs-sharded single-thread comparison (exactness +
-//! non-regression are the only enforced acceptance criteria) and the
-//! N ingest × M query thread matrix (sustained records/sec, query
-//! p50/p99, backpressure rejections; recorded for replay — on 1-CPU
-//! machines the matrix measures queueing, not parallel speedup).
+//! Machine-readable serving-layer benchmark: drives the concurrent
+//! `ResolverService` through an N ingest × M query thread matrix and
+//! writes `BENCH_serve.json` (see `crowder_bench::serveperf` for the
+//! schema): sustained records/sec, query p50/p99, and backpressure
+//! rejections per cell, recorded for replay — on 1-CPU machines the
+//! matrix measures queueing, not parallel speedup.
 //!
 //! ```text
-//! bench_serve [--quick] [--iters N] [--out PATH]   generate a report
-//! bench_serve --check PATH                         validate a report
+//! bench_serve [--quick] [--out PATH]   generate a report
+//! bench_serve --check PATH             validate a report
 //! ```
 //!
 //! `--quick` uses the Restaurant corpus and a reduced matrix (the CI
 //! smoke configuration); the default uses Product. `--check` parses an
-//! existing report and enforces the schema plus `exact == 1` and
-//! `single_thread_ratio >= 0.9`, exiting non-zero on any violation.
+//! existing report and enforces the schema plus per-cell sanity,
+//! exiting non-zero on any violation.
 
 use crowder_bench::serveperf::{validate_serve_report_json, write_serve_report, SERVE_REPORT_PATH};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut iters = 3usize;
     let mut out = SERVE_REPORT_PATH.to_string();
     let mut check: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--iters" => {
-                i += 1;
-                iters = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--iters needs a positive integer"));
-            }
             "--out" => {
                 i += 1;
                 out = args
@@ -79,7 +69,7 @@ fn main() {
             &[(1, 1), (2, 1), (2, 2), (4, 2)],
         )
     };
-    let report = write_serve_report(&out, corpus, &dataset, iters, matrix)
+    let report = write_serve_report(&out, corpus, &dataset, matrix)
         .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     print!("{}", report.render());
     println!("\nwrote {out}");
@@ -87,7 +77,7 @@ fn main() {
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: bench_serve [--quick] [--iters N] [--out PATH] | --check PATH");
+    eprintln!("usage: bench_serve [--quick] [--out PATH] | --check PATH");
     std::process::exit(2);
 }
 

@@ -28,6 +28,8 @@
 use crate::perf::{parse_json, Json, JsonReport, JsonRow};
 use crowder::prelude::*;
 use crowder_obs::stats::format_ns as fmt_ns;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Default output path for the durability report.
@@ -223,6 +225,30 @@ fn percent_prefixes(len: usize) -> [usize; 2] {
     [len / 2, len]
 }
 
+/// A scratch directory under the system temp dir, unique per process
+/// *and* per call (pid plus a process-wide counter), so suites running
+/// concurrently in one process never share — or delete — each other's
+/// directory. Removed on drop: on every exit path, panics included.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("crowder-bench-durable-{}-{n}", std::process::id()));
+        // A leftover of an earlier process that had the same pid.
+        let _ = std::fs::remove_dir_all(&path);
+        ScratchDir(path)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Run the full durability suite over `dataset`.
 pub fn run_durable_suite(corpus: &str, dataset: &Dataset, limit: usize) -> DurablePerfReport {
     let stream = StreamConfig {
@@ -241,9 +267,8 @@ pub fn run_durable_suite(corpus: &str, dataset: &Dataset, limit: usize) -> Durab
     let mem_total_ns = t0.elapsed().as_nanos();
 
     // WAL-on run against a real filesystem directory, default cadence.
-    let root = std::env::temp_dir().join(format!("crowder-bench-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let dir = FsDir::new(&root).expect("temp dir is writable");
+    let root = ScratchDir::new();
+    let dir = FsDir::new(&root.0).expect("temp dir is writable");
     let mut engine = DurableResolver::create_with(
         dir.clone(),
         IncrementalResolver::like(dataset, stream.clone()),
@@ -267,7 +292,7 @@ pub fn run_durable_suite(corpus: &str, dataset: &Dataset, limit: usize) -> Durab
         })
         .sum();
     drop(engine);
-    let _ = std::fs::remove_dir_all(&root);
+    drop(root);
 
     // Recovery matrix on in-memory storage: isolates replay/verify cost
     // from disk caches and keeps the cells deterministic.

@@ -1,31 +1,21 @@
 //! Machine-readable perf report for the concurrent serving layer —
 //! `BENCH_serve.json`.
 //!
-//! Two claims, two sections:
-//!
-//! 1. **Sharding is free where it cannot help.** The rank-banded,
-//!    length-bucketed [`DeltaIndex`](crowder_stream::DeltaIndex) must
-//!    not tax the single-threaded path: the full `run_streaming`
-//!    pipeline under the sharded layout must keep ≥ 0.9× the
-//!    throughput of the unsharded layout (interleaved min-of-iters, so
-//!    the comparison is same-machine and machine-independent), and the
-//!    two runs must produce bit-identical machine pairs *and*
-//!    crowd-verified rankings (`exact`). The validator enforces
-//!    **only** these two — exactness and non-regression; absolute
-//!    timings are recorded for trend-reading, never asserted.
-//! 2. **The service under contention.** A thread matrix (N ingest × M
-//!    query threads) drives a `ResolverService`: sustained ingest
-//!    records/sec, query latency p50/p99 through the full
-//!    queue → worker → group-commit → reply path, and how often
-//!    backpressure (`TrySubmit::Full`) fired. On the 1-CPU reference
-//!    container the matrix shows queueing effects, not parallel
-//!    speedup — the cells are recorded for replay on wider machines.
+//! **The service under contention.** A thread matrix (N ingest × M
+//! query threads) drives a `ResolverService`: sustained ingest
+//! records/sec, query latency p50/p99 through the full
+//! queue → worker → group-commit → reply path, and how often
+//! backpressure (`TrySubmit::Full`) fired. On a 1-CPU machine the
+//! matrix shows queueing effects, not parallel speedup — the cells are
+//! recorded for replay on wider machines. The validator enforces the
+//! schema and per-cell sanity (positive throughput, ordered
+//! percentiles); absolute timings are recorded for trend-reading, never
+//! asserted.
 
 use crate::perf::{parse_json, Json, JsonReport, JsonRow};
 use crowder::prelude::*;
 use crowder_obs::stats::{format_ns as fmt_ns, percentile_sorted as percentile};
 use crowder_serve::{IngestRecord, ResolverService, ServeConfig, TrySubmit};
-use crowder_stream::IndexLayout;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -33,14 +23,11 @@ use std::time::Instant;
 pub const SERVE_REPORT_PATH: &str = "BENCH_serve.json";
 
 /// Schema version stamped into the report; bump on breaking changes.
-pub const SERVE_SCHEMA_VERSION: u32 = 1;
+pub const SERVE_SCHEMA_VERSION: u32 = 2;
 
-/// Likelihood threshold of both sections (the paper's Product sweet
-/// spot, same as `BENCH_stream.json`).
+/// Likelihood threshold of the served resolver (the paper's Product
+/// sweet spot, same as `BENCH_stream.json`).
 pub const SERVE_THRESHOLD: f64 = 0.3;
-
-/// Shards of the sharded layout under test.
-pub const SERVE_SHARDS: usize = 4;
 
 /// One cell of the ingest × query thread matrix.
 #[derive(Debug, Clone)]
@@ -76,84 +63,17 @@ pub struct ServePerfReport {
     pub records: usize,
     /// Join threshold.
     pub threshold: f64,
-    /// Interleaved iterations per baseline side (min taken).
-    pub iters: usize,
-    /// Shard count of the sharded layout.
-    pub shards: usize,
-    /// Best full-pipeline `run_streaming` wall time, unsharded layout.
-    pub unsharded_ns: u128,
-    /// Best full-pipeline `run_streaming` wall time, sharded layout.
-    pub sharded_ns: u128,
-    /// unsharded / sharded wall-time ratio — the sharded layout's
-    /// relative single-thread throughput. Acceptance: ≥ 0.9.
-    pub single_thread_ratio: f64,
-    /// Sharded and unsharded runs produced bit-identical machine pairs
-    /// and crowd rankings.
-    pub exact: bool,
     /// The thread matrix.
     pub cells: Vec<ServeCell>,
-}
-
-fn streaming_config(layout: IndexLayout) -> StreamingConfig {
-    StreamingConfig {
-        likelihood_threshold: SERVE_THRESHOLD,
-        index_layout: layout,
-        ..StreamingConfig::default()
-    }
-}
-
-/// One full-pipeline streaming run; returns (wall ns, machine pairs,
-/// crowd ranking).
-fn baseline_run(
-    dataset: &Dataset,
-    population: &WorkerPopulation,
-    layout: IndexLayout,
-) -> (u128, Vec<ScoredPair>, Vec<ScoredPair>) {
-    let t0 = Instant::now();
-    let outcome =
-        run_streaming(dataset, population, &streaming_config(layout)).expect("streaming runs");
-    let ns = t0.elapsed().as_nanos();
-    (ns, outcome.resolver.ranked_pairs(), outcome.ranked)
-}
-
-/// Interleaved min-of-iters comparison of the unsharded and sharded
-/// single-thread paths, plus the bit-exactness verdict.
-fn run_baseline(dataset: &Dataset, iters: usize) -> (u128, u128, bool) {
-    let population = WorkerPopulation::generate(&PopulationConfig::default(), 7);
-    let unsharded = IndexLayout {
-        shards: 1,
-        probe_threads: 1,
-    };
-    let sharded = IndexLayout {
-        shards: SERVE_SHARDS,
-        probe_threads: 1,
-    };
-    let mut best_unsharded = u128::MAX;
-    let mut best_sharded = u128::MAX;
-    let mut exact = true;
-    // Interleave A/B so drift (cache state, frequency scaling) hits
-    // both sides equally; keep the minimum of each.
-    for _ in 0..iters.max(1) {
-        let (a_ns, a_pairs, a_ranked) = baseline_run(dataset, &population, unsharded);
-        let (b_ns, b_pairs, b_ranked) = baseline_run(dataset, &population, sharded);
-        best_unsharded = best_unsharded.min(a_ns);
-        best_sharded = best_sharded.min(b_ns);
-        exact &= a_pairs == b_pairs && a_ranked == b_ranked;
-    }
-    (best_unsharded, best_sharded, exact)
 }
 
 /// Drive one thread-matrix cell against a fresh service.
 fn run_cell(dataset: &Dataset, ingest_threads: usize, query_threads: usize) -> ServeCell {
     let resolver = IncrementalResolver::like(
         dataset,
-        crowder_stream::StreamConfig {
+        StreamConfig {
             threshold: SERVE_THRESHOLD,
-            layout: IndexLayout {
-                shards: SERVE_SHARDS,
-                probe_threads: 1,
-            },
-            ..crowder_stream::StreamConfig::default()
+            ..StreamConfig::default()
         },
     );
     let service = ResolverService::in_memory(
@@ -256,15 +176,13 @@ fn run_cell(dataset: &Dataset, ingest_threads: usize, query_threads: usize) -> S
     }
 }
 
-/// Run both sections and assemble the report. `matrix` lists the
+/// Run the thread matrix and assemble the report. `matrix` lists the
 /// (ingest, query) thread cells.
 pub fn run_serve_suite(
     corpus: &str,
     dataset: &Dataset,
-    iters: usize,
     matrix: &[(usize, usize)],
 ) -> ServePerfReport {
-    let (unsharded_ns, sharded_ns, exact) = run_baseline(dataset, iters);
     let cells = matrix
         .iter()
         .map(|&(n, m)| run_cell(dataset, n, m))
@@ -274,12 +192,6 @@ pub fn run_serve_suite(
         corpus: corpus.into(),
         records: dataset.len(),
         threshold: SERVE_THRESHOLD,
-        iters: iters.max(1),
-        shards: SERVE_SHARDS,
-        unsharded_ns,
-        sharded_ns,
-        single_thread_ratio: unsharded_ns as f64 / sharded_ns.max(1) as f64,
-        exact,
         cells,
     }
 }
@@ -293,15 +205,6 @@ impl ServePerfReport {
             .str("corpus", &self.corpus)
             .num("records", self.records)
             .num("threshold", self.threshold)
-            .num("iters", self.iters)
-            .num("shards", self.shards)
-            .num("unsharded_ns", self.unsharded_ns)
-            .num("sharded_ns", self.sharded_ns)
-            .num(
-                "single_thread_ratio",
-                format!("{:.3}", self.single_thread_ratio),
-            )
-            .num("exact", u8::from(self.exact))
             .rows(
                 "cells",
                 self.cells.iter().map(|c| {
@@ -323,19 +226,9 @@ impl ServePerfReport {
     /// Render a human-readable summary.
     pub fn render(&self) -> String {
         let mut s = format!(
-            "serve perf: {} ({} records, tau {}, {} shard(s), {} core(s))\n\
-             single-thread pipeline: unsharded {} vs sharded {} \
-             (ratio {:.3}, exact: {})\n\n\
+            "serve perf: {} ({} records, tau {}, {} core(s))\n\n\
              ingest x query   records/sec   query p50   query p99   rejections\n",
-            self.corpus,
-            self.records,
-            self.threshold,
-            self.shards,
-            self.available_parallelism,
-            fmt_ns(self.unsharded_ns),
-            fmt_ns(self.sharded_ns),
-            self.single_thread_ratio,
-            self.exact,
+            self.corpus, self.records, self.threshold, self.available_parallelism,
         );
         for c in &self.cells {
             s.push_str(&format!(
@@ -352,11 +245,10 @@ impl ServePerfReport {
     }
 }
 
-/// Validate a `BENCH_serve.json` document. Enforced: schema shape,
-/// `exact == 1`, and `single_thread_ratio >= 0.9` — the exactness and
-/// non-regression acceptance criteria, both measured same-machine and
-/// therefore machine-independent. Absolute timings are deliberately
-/// not asserted. Returns the cell count.
+/// Validate a `BENCH_serve.json` document. Enforced: schema shape, a
+/// non-empty matrix, positive per-cell throughput, and ordered query
+/// percentiles. Absolute timings are deliberately not asserted. Returns
+/// the cell count.
 pub fn validate_serve_report_json(input: &str) -> Result<usize, String> {
     let doc = parse_json(input)?;
     let version = doc
@@ -376,25 +268,8 @@ pub fn validate_serve_report_json(input: &str) -> Result<usize, String> {
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("missing numeric field {key}"))
     };
-    for key in [
-        "available_parallelism",
-        "records",
-        "threshold",
-        "iters",
-        "shards",
-        "unsharded_ns",
-        "sharded_ns",
-    ] {
+    for key in ["available_parallelism", "records", "threshold"] {
         num(key)?;
-    }
-    if num("exact")? != 1.0 {
-        return Err("exact != 1: sharded run diverged from unsharded".into());
-    }
-    let ratio = num("single_thread_ratio")?;
-    if ratio < 0.9 {
-        return Err(format!(
-            "single_thread_ratio {ratio:.3} < 0.9: sharding regressed the single-thread path"
-        ));
     }
     let cells = doc
         .get("cells")
@@ -433,10 +308,9 @@ pub fn write_serve_report(
     path: &str,
     corpus: &str,
     dataset: &Dataset,
-    iters: usize,
     matrix: &[(usize, usize)],
 ) -> std::io::Result<ServePerfReport> {
-    let report = run_serve_suite(corpus, dataset, iters, matrix);
+    let report = run_serve_suite(corpus, dataset, matrix);
     std::fs::write(path, report.to_json())?;
     Ok(report)
 }
@@ -459,8 +333,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_validation() {
-        let report = run_serve_suite("tiny", &tiny_dataset(), 1, &[(1, 1), (2, 1)]);
-        assert!(report.exact, "layouts must agree on a tiny corpus");
+        let report = run_serve_suite("tiny", &tiny_dataset(), &[(1, 1), (2, 1)]);
         assert_eq!(
             validate_serve_report_json(&report.to_json()),
             Ok(report.cells.len())
@@ -468,18 +341,22 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_a_regressed_ratio() {
-        let mut report = run_serve_suite("tiny", &tiny_dataset(), 1, &[(1, 1)]);
-        report.single_thread_ratio = 0.5;
-        let err = validate_serve_report_json(&report.to_json()).unwrap_err();
-        assert!(err.contains("single_thread_ratio"), "{err}");
-    }
-
-    #[test]
-    fn validation_rejects_inexact_runs() {
-        let mut report = run_serve_suite("tiny", &tiny_dataset(), 1, &[(1, 1)]);
-        report.exact = false;
-        let err = validate_serve_report_json(&report.to_json()).unwrap_err();
-        assert!(err.contains("exact"), "{err}");
+    fn validation_rejects_broken_documents() {
+        let report = run_serve_suite("tiny", &tiny_dataset(), &[(1, 1)]);
+        let json = report.to_json();
+        let stale = json.replace("\"schema_version\": 2", "\"schema_version\": 1");
+        assert!(validate_serve_report_json(&stale)
+            .unwrap_err()
+            .contains("schema_version"));
+        let mut empty = report.clone();
+        empty.cells.clear();
+        assert!(validate_serve_report_json(&empty.to_json())
+            .unwrap_err()
+            .contains("empty"));
+        let mut swapped = report.clone();
+        swapped.cells[0].query_p50_ns = swapped.cells[0].query_p99_ns + 1;
+        assert!(validate_serve_report_json(&swapped.to_json())
+            .unwrap_err()
+            .contains("out of order"));
     }
 }

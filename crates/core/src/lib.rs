@@ -52,7 +52,7 @@ pub mod prelude {
     };
     pub use crowder_stream::{
         vote_weight, EvidenceConfig, EvidenceLedger, HitDelta, HitId, IncrementalResolver,
-        IndexLayout, InsertReport, LiveHits, QueryMatch, RemoveReport, ResolverState, StreamConfig,
+        InsertReport, LiveHits, QueryMatch, RemoveReport, ResolverState, StreamConfig,
         UpdateReport,
     };
     pub use crowder_types::{

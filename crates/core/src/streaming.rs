@@ -36,8 +36,8 @@ use crowder_durable::{DurabilityConfig, DurableResolver, FsDir};
 use crowder_hitgen::{Hit, TwoTieredConfig};
 use crowder_simjoin::JoinStats;
 use crowder_stream::{
-    vote_weight, EvidenceConfig, EvidenceReport, HitDelta, IncrementalResolver, IndexLayout,
-    InsertReport, RemoveReport, StreamConfig,
+    vote_weight, EvidenceConfig, EvidenceReport, HitDelta, IncrementalResolver, InsertReport,
+    RemoveReport, StreamConfig,
 };
 use crowder_types::{Dataset, Error, Pair, RecordId, Result, ScoredPair, SourceId};
 use std::collections::HashMap;
@@ -206,10 +206,6 @@ pub struct StreamingConfig {
     /// Write-ahead logging + snapshots (off by default; see
     /// [`DurabilityOptions`]).
     pub durability: Option<DurabilityOptions>,
-    /// Shard/thread layout of the resolver's delta index (results are
-    /// bit-for-bit invariant under it; see
-    /// [`IndexLayout`](crowder_stream::IndexLayout)).
-    pub index_layout: IndexLayout,
 }
 
 impl Default for StreamingConfig {
@@ -227,7 +223,6 @@ impl Default for StreamingConfig {
             evidence: EvidenceConfig::default(),
             faults: FaultPlan::default(),
             durability: None,
-            index_layout: IndexLayout::default(),
         }
     }
 }
@@ -380,7 +375,6 @@ pub fn run_streaming(
             two_tiered: config.two_tiered.clone(),
             rebuild_min_interval: config.rebuild_min_interval,
             evidence: config.evidence,
-            layout: config.index_layout,
         },
     );
     // The resolver sees gold labels as they would arrive in a live
@@ -809,7 +803,6 @@ mod tests {
             two_tiered: cfg.two_tiered.clone(),
             rebuild_min_interval: cfg.rebuild_min_interval,
             evidence: cfg.evidence,
-            layout: cfg.index_layout,
         };
         let (recovered, report) = DurableResolver::recover(
             FsDir::new(&dir).unwrap(),

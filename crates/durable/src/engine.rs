@@ -15,8 +15,8 @@
 use crowder_hitgen::Hit;
 use crowder_simjoin::JoinStats;
 use crowder_stream::{
-    EvidenceReport, HitDelta, IncrementalResolver, InsertReport, QueryMatch, RemoveReport,
-    StreamConfig, UpdateReport,
+    valid_weight, EvidenceReport, HitDelta, IncrementalResolver, InsertReport, QueryMatch,
+    RemoveReport, StreamConfig, UpdateReport,
 };
 use crowder_types::{Error, Pair, PairSpace, RecordId, Result, SourceId};
 
@@ -255,13 +255,16 @@ impl<D: Dir + Clone> DurableResolver<D> {
     }
 
     /// One signed, weighted crowd vote (logged with its resolved
-    /// weight, so replay does not depend on the weight table).
+    /// weight, so replay does not depend on the weight table). A NaN,
+    /// infinite, or negative weight is rejected with
+    /// [`Error::InvalidData`] before anything is applied or logged.
     pub fn record_evidence(
         &mut self,
         pair: Pair,
         verdict: bool,
         weight: f64,
     ) -> Result<EvidenceReport> {
+        check_weight(weight)?;
         let report = self.resolver.record_evidence(pair, verdict, weight);
         self.log(WalOp::Evidence {
             pair,
@@ -285,8 +288,12 @@ impl<D: Dir + Clone> DurableResolver<D> {
         Ok(())
     }
 
-    /// Replace the worker-weight table (logged).
+    /// Replace the worker-weight table (logged). Like a vote, a table
+    /// with a NaN, infinite, or negative weight is rejected unapplied.
     pub fn set_worker_weights(&mut self, mut weights: Vec<(u64, f64)>) -> Result<()> {
+        for &(_, weight) in &weights {
+            check_weight(weight)?;
+        }
         weights.sort_unstable_by_key(|&(worker, _)| worker);
         self.weights = weights.clone();
         self.log(WalOp::Weights(weights))?;
@@ -365,6 +372,18 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// The digest of the current state (see [`digest`]).
     pub fn digest(&self) -> StateDigest {
         digest(&self.resolver, &self.weights)
+    }
+}
+
+/// Reject a vote weight the WAL decoder would refuse: logging it would
+/// cut the recoverable history short at that frame.
+fn check_weight(weight: f64) -> Result<()> {
+    if valid_weight(weight) {
+        Ok(())
+    } else {
+        Err(Error::InvalidData(format!(
+            "vote weight {weight} is not finite and non-negative"
+        )))
     }
 }
 
@@ -465,5 +484,37 @@ pub fn digest(resolver: &IncrementalResolver, weights: &[(u64, f64)]) -> StateDi
         live_len: resolver.live_len(),
         removed: resolver.removed(),
         weights: weights.iter().map(|&(w, x)| (w, x.to_bits())).collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::storage::MemDir;
+
+    #[test]
+    fn unusable_weights_are_rejected_before_apply_or_log() {
+        let mut engine = DurableResolver::create(
+            MemDir::new(),
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig::default(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        engine.insert(SourceId(0), vec!["a b c".into()]).unwrap();
+        engine.insert(SourceId(0), vec!["a b c".into()]).unwrap();
+        let (seq, before) = (engine.last_seq(), engine.digest());
+        for w in [f64::NAN, f64::INFINITY, -1.0] {
+            let err = engine.record_evidence(Pair::of(0, 1), true, w);
+            assert!(matches!(err, Err(Error::InvalidData(_))), "{w}: {err:?}");
+            let err = engine.set_worker_weights(vec![(3, 0.5), (4, w)]);
+            assert!(matches!(err, Err(Error::InvalidData(_))), "{w}: {err:?}");
+        }
+        assert_eq!(engine.last_seq(), seq, "nothing was logged");
+        assert_eq!(engine.digest(), before, "nothing was applied");
+        engine.record_evidence(Pair::of(0, 1), true, 0.5).unwrap();
+        assert_eq!(engine.last_seq(), seq + 1);
     }
 }

@@ -13,6 +13,7 @@
 //!   loses at most the buffered suffix, never a middle frame — torn
 //!   tails are handled by [`read_wal`]'s truncation scan.
 
+use crowder_stream::valid_weight;
 use crowder_types::{Error, Pair, RecordId, Result};
 
 use crate::codec::{Dec, Enc};
@@ -142,6 +143,16 @@ impl WalOp {
         fn pair(d: &mut Dec) -> Result<Pair> {
             Pair::new(RecordId(d.u32()?), RecordId(d.u32()?))
         }
+        // The engine never logs an unusable weight, so one in a frame
+        // is corruption.
+        fn weight(d: &mut Dec) -> Result<f64> {
+            let w = d.f64()?;
+            if valid_weight(w) {
+                Ok(w)
+            } else {
+                Err(Error::InvalidData(format!("WAL: vote weight {w}")))
+            }
+        }
         match d.u8()? {
             1 => Ok(WalOp::Insert {
                 source: d.u8()?,
@@ -156,7 +167,7 @@ impl WalOp {
             5 => Ok(WalOp::Evidence {
                 pair: pair(d)?,
                 verdict: d.bool()?,
-                weight: d.f64()?,
+                weight: weight(d)?,
             }),
             6 => Ok(WalOp::EpochRerank),
             7 => Ok(WalOp::Flush),
@@ -164,7 +175,7 @@ impl WalOp {
                 let n = d.seq_len(16)?;
                 let mut weights = Vec::with_capacity(n);
                 for _ in 0..n {
-                    weights.push((d.u64()?, d.f64()?));
+                    weights.push((d.u64()?, weight(d)?));
                 }
                 Ok(WalOp::Weights(weights))
             }
@@ -392,6 +403,40 @@ mod tests {
             assert_eq!(WalOp::decode(&mut d).unwrap(), op);
             d.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn unusable_weights_do_not_decode() {
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.25] {
+            for op in [
+                WalOp::Evidence {
+                    pair: Pair::of(0, 1),
+                    verdict: true,
+                    weight: w,
+                },
+                WalOp::Weights(vec![(7, 0.9), (12, w)]),
+            ] {
+                let mut e = Enc::new();
+                op.encode(&mut e);
+                let bytes = e.into_bytes();
+                assert!(WalOp::decode(&mut Dec::new(&bytes)).is_err(), "{op:?}");
+            }
+        }
+        // In a log, such a frame ends the readable prefix like any other
+        // undecodable frame.
+        let dir = MemDir::new();
+        let mut w = WalWriter::create(dir.clone(), 0).unwrap();
+        w.log(&WalOp::Flush);
+        w.log(&WalOp::Evidence {
+            pair: Pair::of(0, 1),
+            verdict: false,
+            weight: f64::NAN,
+        });
+        w.log(&WalOp::Flush);
+        w.flush().unwrap();
+        let contents = read_wal(&dir).unwrap();
+        assert_eq!(contents.last_seq(), 1);
+        assert!(contents.torn_bytes > 0);
     }
 
     #[test]

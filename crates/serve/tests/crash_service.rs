@@ -6,7 +6,7 @@
 
 use crowder_durable::{digest, DurabilityConfig, DurableResolver, FaultyDir, MemDir};
 use crowder_serve::{IngestRecord, ResolverService, ServeConfig, TrySubmit};
-use crowder_stream::{IncrementalResolver, IndexLayout, StreamConfig};
+use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{PairSpace, SourceId};
 
 const NAME_POOL: &[&str] = &[
@@ -23,10 +23,6 @@ const NAME_POOL: &[&str] = &[
 fn stream_config() -> StreamConfig {
     StreamConfig {
         threshold: 0.35,
-        layout: IndexLayout {
-            shards: 2,
-            probe_threads: 1,
-        },
         ..StreamConfig::default()
     }
 }
@@ -84,17 +80,19 @@ fn crash_run(budget: usize) -> (u64, u64, MemDir) {
         next += BATCH;
     }
     // Phase 2: power loss armed; keep submitting until a group commit
-    // hits the fault and the service poisons itself.
+    // hits the fault and the service poisons itself. The bound counts
+    // accepted batches, not attempts, so a slow worker (a loaded host)
+    // cannot end the feed before the budget is spent.
     faulty.arm(budget);
     let mut inflight = Vec::new();
-    'feed: for _ in 0..200 {
+    while inflight.len() < 10_000 {
         match service.try_ingest(batch(next, BATCH)) {
             TrySubmit::Accepted(ticket) => {
                 next += BATCH;
                 inflight.push(ticket);
             }
             TrySubmit::Full(_) => std::thread::yield_now(),
-            TrySubmit::Closed(_) => break 'feed, // poisoned: stop feeding
+            TrySubmit::Closed(_) => break, // poisoned: stop feeding
         }
     }
     let submitted = next as u64;

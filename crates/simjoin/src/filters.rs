@@ -3,14 +3,19 @@
 //!
 //! [`prefix_join`](crate::prefix_join) (the batch PPJoin+ engine) and
 //! `crowder-stream`'s delta join (one arriving record probed against an
-//! insert-capable index) apply the same lossless filter pipeline; this
-//! module holds the pieces both need so the two engines cannot drift:
+//! insert-capable index) run the same lossless two-phase probe; this
+//! module holds everything but the posting lists, so the two engines
+//! cannot drift:
 //!
+//! * the probe kernel: [`ProbeScratch`] opens a [`Probe`], which picks
+//!   the count-filter level ([`adaptive_level`]), collects the engine's
+//!   window hits ([`Hits::hit`], phase 1), and filters and verifies each
+//!   candidate ([`Probe::verify`], phase 2);
 //! * the prefix/length/overlap formulas ([`prefix_len`],
 //!   [`index_prefix_len`], [`min_match_len`], [`max_match_len`],
 //!   [`min_overlap`]),
-//! * the Adapt-Join count-filter machinery ([`MAX_PREFIX_EXT`],
-//!   [`extended_prefix_len`], [`posting_tier`], [`extend_prefix`]),
+//! * the Adapt-Join index windows ([`MAX_PREFIX_EXT`],
+//!   [`extended_prefix_len`], [`posting_tier`]),
 //! * the Jaccard last-token truncation bound
 //!   ([`positional_len_cutoff`]),
 //! * the 256-bit band signature ([`BandSignature`]),
@@ -38,6 +43,8 @@
 //! pairs before they ever surface as candidates. The cap
 //! `l ≤ ⌈t·|x|⌉` keeps the lemma sound when windows saturate at the
 //! record length (1-token records, `t = 1`).
+
+use crate::JoinStats;
 
 /// Recursion depth of the suffix filter's binary partition. Depth `d`
 /// costs at most `2^d` binary searches per candidate; the PPJoin+ paper
@@ -106,8 +113,307 @@ const EXTEND_MIN_SCAN: u64 = 48;
 /// (frontier tokens are more frequent than every base-prefix token:
 /// ranks are rarest-first).
 #[inline]
-pub fn extend_prefix(scanned: u64, frontier: u64) -> bool {
+fn extend_prefix(scanned: u64, frontier: u64) -> bool {
     scanned >= EXTEND_MIN_SCAN && frontier <= scanned.saturating_mul(4)
+}
+
+/// Adaptive count-filter level of a probe `doc` whose base probe prefix
+/// is `base` tokens: extend the window one frontier token at a time
+/// while the frontier's posting mass is cheap relative to what the
+/// window already scans. `mass(tok)` is the index's posting count for a
+/// token — any estimate works for soundness, but it must be a pure
+/// function of the indexed corpus for the probe to be reproducible.
+/// Capped at `⌈t·|doc|⌉` (the lemma's soundness cap — which also keeps
+/// the frontier index in bounds: `base + level − 1 < |doc|` whenever
+/// `level < ⌈t·|doc|⌉`).
+pub fn adaptive_level(
+    doc: &[u32],
+    base: usize,
+    threshold: f64,
+    mut mass: impl FnMut(u32) -> u64,
+) -> usize {
+    let level_cap = MAX_PREFIX_EXT.min(min_match_len(doc.len(), threshold));
+    let mut level = 1usize;
+    if level_cap > 1 {
+        let mut scanned: u64 = doc[..base].iter().map(|&tok| mass(tok)).sum();
+        while level < level_cap {
+            let frontier = mass(doc[base + level - 1]);
+            if !extend_prefix(scanned, frontier) {
+                break;
+            }
+            scanned += frontier;
+            level += 1;
+        }
+    }
+    level
+}
+
+/// Reusable scratch of the two-phase prefix probe both join engines
+/// run: per-record hit state, the candidate list, and the per-position
+/// truncation cutoffs. [`ProbeScratch::start`] opens one probe; one
+/// scratch serves any number of probes (one per thread).
+///
+/// `count` and `first` are only valid where `seen` carries the current
+/// probe's stamp, so nothing needs clearing between probes. `seen` is a
+/// separate dense array because phase 1 reads it on every posting: kept
+/// apart from the per-candidate state, it stays cache-resident on large
+/// corpora.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeScratch {
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Window hits per candidate — the count-filter tally.
+    count: Vec<u8>,
+    /// First hit per candidate: probe position `i`, candidate position
+    /// `j`.
+    first: Vec<(u32, u32)>,
+    cand: Vec<u32>,
+    cuts: Vec<u32>,
+}
+
+impl ProbeScratch {
+    /// An empty scratch; the per-record state grows on demand.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Open a probe of the rank-sorted, non-empty `doc` (band signature
+    /// `sig`) at `0 < threshold ≤ 1` against an index of `records`
+    /// record slots (candidate ids must stay below it). `mass` is the
+    /// index's posting-count lookup for [`adaptive_level`].
+    pub fn start<'s, 'd>(
+        &'s mut self,
+        doc: &'d [u32],
+        sig: BandSignature,
+        threshold: f64,
+        records: usize,
+        mass: impl FnMut(u32) -> u64,
+    ) -> Probe<'s, 'd> {
+        debug_assert!(!doc.is_empty() && threshold > 0.0 && threshold <= 1.0);
+        let lx = doc.len();
+        let base = prefix_len(lx, threshold);
+        let level = adaptive_level(doc, base, threshold, mass);
+        let window = (base + level - 1).min(lx);
+        if self.seen.len() < records {
+            self.seen.resize(records, 0);
+            self.count.resize(records, 0);
+            self.first.resize(records, (0, 0));
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Stamp wrap: forget every stale stamp once, then restart.
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.cand.clear();
+        self.cuts.clear();
+        self.cuts.extend(
+            (0..window)
+                .map(|i| positional_len_cutoff(lx, i, threshold).min(u32::MAX as usize) as u32),
+        );
+        Probe {
+            scratch: self,
+            doc,
+            sig,
+            threshold,
+            level,
+        }
+    }
+}
+
+/// The phase-1 hits of one probe window position (see [`Probe::at`]).
+#[derive(Debug)]
+pub struct Hits<'a> {
+    seen: &'a mut [u32],
+    count: &'a mut [u8],
+    first: &'a mut [(u32, u32)],
+    cand: &'a mut Vec<u32>,
+    stamp: u32,
+    cut: usize,
+    i: u32,
+}
+
+impl Hits<'_> {
+    /// Record a hit on candidate `y`, a record of `ly` tokens, at its
+    /// position `j`. A first contact past the position's truncation
+    /// cutoff is dropped silently: it could never pass the positional
+    /// filter, and since the cutoff only tightens along the window,
+    /// neither could any later contact — so the pair never becomes a
+    /// candidate. Hits on a reached candidate always count.
+    #[inline]
+    pub fn hit(&mut self, y: u32, ly: usize, j: u32) {
+        let y = y as usize;
+        if self.seen[y] == self.stamp {
+            self.count[y] = self.count[y].saturating_add(1);
+        } else if ly <= self.cut {
+            self.seen[y] = self.stamp;
+            self.count[y] = 1;
+            self.first[y] = (self.i, j);
+            self.cand.push(y as u32);
+        }
+    }
+}
+
+/// One open probe (see [`ProbeScratch::start`]).
+///
+/// **Phase 1** (engine-specific: each engine walks its own postings)
+/// feeds every tier-admissible window hit inside the length window to
+/// [`Hits::hit`] of its window position ([`Probe::at`]), in ascending
+/// position — so a candidate's first hit is its first shared token
+/// overall: tiers grow with position, and both token lists ascend in
+/// the same global rank order, so any earlier shared token would also
+/// be a counted hit at smaller `i` and `j`. `hit` drops first contacts
+/// past the position's truncation cutoff ([`Probe::cut`]); at level 1,
+/// which needs no hit counts, a length-ascending scan may stop at the
+/// cutoff outright.
+///
+/// **Phase 2** is [`Probe::verify`], shared by both engines.
+#[derive(Debug)]
+pub struct Probe<'s, 'd> {
+    scratch: &'s mut ProbeScratch,
+    doc: &'d [u32],
+    sig: BandSignature,
+    threshold: f64,
+    level: usize,
+}
+
+impl<'d> Probe<'_, 'd> {
+    /// The count-filter level: a candidate needs this many window hits.
+    #[inline]
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// The probe window (base prefix plus `level − 1` frontier tokens).
+    #[inline]
+    pub fn window(&self) -> &'d [u32] {
+        &self.doc[..self.scratch.cuts.len()]
+    }
+
+    /// Last-token truncation cutoff of window position `i`
+    /// ([`positional_len_cutoff`]).
+    #[inline]
+    pub fn cut(&self, i: usize) -> usize {
+        self.scratch.cuts[i] as usize
+    }
+
+    /// Phase 1 at window position `i`: the sink for that position's
+    /// hits ([`Hits::hit`]).
+    #[inline]
+    pub fn at(&mut self, i: usize) -> Hits<'_> {
+        let s = &mut *self.scratch;
+        Hits {
+            seen: &mut s.seen,
+            count: &mut s.count,
+            first: &mut s.first,
+            cand: &mut s.cand,
+            stamp: s.stamp,
+            cut: s.cuts[i] as usize,
+            i: i as u32,
+        }
+    }
+
+    /// The candidates phase 1 reached, in first-hit order.
+    #[inline]
+    pub fn candidates(&self) -> &[u32] {
+        &self.scratch.cand
+    }
+
+    /// Sort the candidates by id — the canonical enumeration order,
+    /// independent of posting-list order.
+    pub fn sort_candidates(&mut self) {
+        self.scratch.cand.sort_unstable();
+    }
+
+    /// Phase 2 for candidate `y` (token list `ydoc`, signature `ysig`):
+    /// the count filter (silent — proven dead from index geometry, so
+    /// the pair never counts as a candidate), then the positional
+    /// filter, the candidate-space check `space_ok`,
+    /// the band-signature check, the suffix filter, and resume-merge
+    /// verification, each rejection tallied into its `stats` bucket.
+    /// Returns the pair's Jaccard similarity iff it reaches the
+    /// threshold.
+    ///
+    /// The first hit `(i, j)` is the pair's first shared token, so the
+    /// overlap up to it is exactly 1 and the merge resumes at
+    /// `(i+1, j+1)`.
+    #[inline]
+    pub fn verify(
+        &self,
+        y: u32,
+        ydoc: &[u32],
+        ysig: &BandSignature,
+        space_ok: impl FnOnce() -> bool,
+        stats: &mut JoinStats,
+    ) -> Option<f64> {
+        let s = &*self.scratch;
+        debug_assert_eq!(s.seen[y as usize], s.stamp, "{y} is no candidate");
+        // Count filter: a qualifying pair shares at least `level` tokens
+        // between the extended windows (the generalized prefix lemma).
+        // Most hits die here, so it stays inline in the caller's loop.
+        if (s.count[y as usize] as usize) < self.level {
+            return None;
+        }
+        self.filter_and_verify(s.first[y as usize], ydoc, ysig, space_ok, stats)
+    }
+
+    /// [`Probe::verify`] past the count filter, from the first hit
+    /// `(i, j)` on.
+    fn filter_and_verify(
+        &self,
+        (i, j): (u32, u32),
+        ydoc: &[u32],
+        ysig: &BandSignature,
+        space_ok: impl FnOnce() -> bool,
+        stats: &mut JoinStats,
+    ) -> Option<f64> {
+        let (i, j) = (i as usize, j as usize);
+        let (doc, t) = (self.doc, self.threshold);
+        let (lx, ly) = (doc.len(), ydoc.len());
+        stats.candidates += 1;
+        // Positional filter at the first shared token: overlap so far is
+        // exactly 1, and at most the shorter remaining tail more.
+        let alpha = min_overlap(lx, ly, t);
+        let upper = 1 + (lx - i - 1).min(ly - j - 1);
+        if upper < alpha {
+            stats.positional_pruned += 1;
+            return None;
+        }
+        if !space_ok() {
+            stats.space_pruned += 1;
+            return None;
+        }
+        // Band-signature reject: popcount(sig_x ^ sig_y) lower-bounds
+        // |x Δ y|, which a qualifying pair keeps ≤ lx + ly − 2α. The
+        // check self-gates to short records (bound < 256) — cheaper than
+        // the suffix filter's recursive partition, so it runs first.
+        // `upper ≥ α` above guarantees `2α ≤ lx + ly`.
+        let sig_budget = lx + ly - 2 * alpha;
+        if sig_budget < 256 && self.sig.distance_lb(ysig) > sig_budget {
+            stats.signature_rejected += 1;
+            return None;
+        }
+        // Suffix filter: the suffixes past the first shared token must
+        // contribute the remaining α − 1 overlap, so their Hamming
+        // distance is bounded by |xs| + |ys| − 2(α − 1).
+        let (xs, ys) = (&doc[i + 1..], &ydoc[j + 1..]);
+        if alpha > 1 {
+            let hmax = xs.len() + ys.len() - 2 * (alpha - 1);
+            if suffix_hamming_lb(xs, ys, hmax, SUFFIX_FILTER_DEPTH) > hmax {
+                stats.suffix_pruned += 1;
+                return None;
+            }
+        }
+        stats.verified += 1;
+        let o = 1 + overlap_reaching(xs, ys, alpha.saturating_sub(1))?;
+        let sim = o as f64 / (lx + ly - o) as f64;
+        if sim >= t {
+            stats.results += 1;
+            Some(sim)
+        } else {
+            None
+        }
+    }
 }
 
 /// Jaccard last-token truncation bound: the largest candidate length

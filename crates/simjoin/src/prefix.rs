@@ -40,10 +40,23 @@
 //!    the first shared prefix position is already accounted for), and
 //!    abandons as soon as the remaining tails cannot reach `α`.
 //!
+//! Between steps 2 and 3 the adaptive count filter and last-token
+//! truncation drop pairs without surfacing them as candidates, and
+//! between steps 3 and 4 a 256-bit band signature rejects short pairs
+//! (see [`filters`](crate::filters)).
+//!
+//! This module keeps only what is batch-specific: the length-sorted
+//! probe order, the indexing-prefix posting lists, and phase 1 of the
+//! probe (walking those lists). The probe itself — adaptive level,
+//! scratch, and the per-candidate steps 3–5 — is the shared kernel
+//! [`filters::Probe`](crate::filters::Probe), the same code
+//! `crowder-stream`'s delta join runs.
+//!
 //! The index is built once, sequentially (it is cheap: indexing prefixes
 //! only); probing is parallelized by striding the length-sorted record
-//! order across scoped threads, each with a local result buffer and
-//! filter counters, concatenated/summed in thread order.
+//! order across scoped threads, each with its own probe scratch, local
+//! result buffer, and filter counters, concatenated/summed in thread
+//! order.
 //!
 //! Output is identical to [`all_pairs_scored`](crate::all_pairs_scored)
 //! for the same threshold — a property-tested invariant — and
@@ -52,9 +65,7 @@
 
 use crate::allpairs::effective_threads;
 use crate::filters::{
-    extend_prefix, extended_prefix_len, index_prefix_len, min_match_len, min_overlap,
-    overlap_reaching, positional_len_cutoff, posting_tier, prefix_len, suffix_hamming_lb,
-    BandSignature, MAX_PREFIX_EXT,
+    extended_prefix_len, index_prefix_len, min_match_len, posting_tier, BandSignature, ProbeScratch,
 };
 use crate::tokens::TokenTable;
 use crowder_types::{Dataset, Pair, RecordId, ScoredPair};
@@ -229,7 +240,7 @@ pub fn prefix_join_with_stats(
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     let mut stats = JoinStats::default();
-                    let mut scratch = ProbeScratch::new(n);
+                    let mut scratch = ProbeScratch::new();
                     // Strided ranks balance the skew of long records.
                     let mut rank = t;
                     while rank < order.len() {
@@ -269,35 +280,10 @@ pub fn prefix_join_with_stats(
     (out, stats)
 }
 
-/// Per-thread probe scratch: candidate dedup plus the count-filter and
-/// first-hit accumulators of the two-phase probe. `cnt`, `best_i`, and
-/// `best_j` are only valid where `seen` carries the current probe's
-/// stamp (the probing rank), so none of them need clearing between
-/// probes.
-struct ProbeScratch {
-    seen: Vec<u32>,
-    cnt: Vec<u8>,
-    best_i: Vec<u32>,
-    best_j: Vec<u32>,
-    cand: Vec<u32>,
-}
-
-impl ProbeScratch {
-    fn new(n: usize) -> Self {
-        ProbeScratch {
-            seen: vec![u32::MAX; n],
-            cnt: vec![0; n],
-            best_i: vec![0; n],
-            best_j: vec![0; n],
-            cand: Vec::new(),
-        }
-    }
-}
-
 /// Probe one record (by rank) against the index of all shorter-or-equal
 /// records earlier in the order: collect window hits per candidate
-/// (phase 1), then filter + verify the survivors of the count filter
-/// (phase 2).
+/// (phase 1), then filter + verify each candidate through the shared
+/// kernel (phase 2, [`Probe::verify`](crate::filters::Probe::verify)).
 #[allow(clippy::too_many_arguments)]
 fn probe(
     dataset: &Dataset,
@@ -317,138 +303,42 @@ fn probe(
     if doc.is_empty() {
         return;
     }
-    let lx = doc.len();
-    let base = prefix_len(lx, threshold);
-    let min_len_y = min_match_len(lx, threshold);
+    let min_len_y = min_match_len(doc.len(), threshold);
+    let mut probe = scratch.start(doc, sigs[x as usize], threshold, docs.len(), |tok| {
+        postings[tok as usize].len() as u64
+    });
+    let level = probe.level();
 
-    // Adaptive count-filter level: extend the probe window one frontier
-    // token at a time while the frontier posting list is cheap relative
-    // to what the window already scans. Capped at ⌈t·lx⌉ (the lemma's
-    // soundness cap — which also keeps the frontier index in bounds:
-    // base + level − 1 < lx whenever level < ⌈t·lx⌉).
-    let level_cap = MAX_PREFIX_EXT.min(min_match_len(lx, threshold));
-    let mut level = 1usize;
-    if level_cap > 1 {
-        let mut scanned: u64 = doc[..base]
-            .iter()
-            .map(|&tok| postings[tok as usize].len() as u64)
-            .sum();
-        while level < level_cap {
-            let frontier = postings[doc[base + level - 1] as usize].len() as u64;
-            if !extend_prefix(scanned, frontier) {
-                break;
-            }
-            scanned += frontier;
-            level += 1;
-        }
-    }
-    let window = (base + level - 1).min(lx);
-    let stamp = rank as u32;
-
-    // Phase 1: count window hits per candidate, keeping the first
-    // (minimal-i) hit — which is the pair's first shared token overall:
-    // tiers grow with position, so any earlier shared token would also
-    // be a counted hit at smaller i and j.
-    scratch.cand.clear();
-    for (i, &tok) in doc[..window].iter().enumerate() {
+    // Phase 1: every posting list ascends in rank and therefore in
+    // record length, so the admissible postings of a window token form
+    // one contiguous run: past the too-short records (the length
+    // filter, binary-searched), up to the probing rank (later ranks
+    // probe this record themselves) — and at level 1 up to the
+    // position's truncation cutoff.
+    for (i, &tok) in probe.window().iter().enumerate() {
         let plist = &postings[tok as usize];
-        // Length filter: lengths ascend along the posting list, so the
-        // too-short candidates form a prefix we can skip wholesale.
         let start = plist.partition_point(|p| (lens[p.rank as usize] as usize) < min_len_y);
-        // Last-token truncation: from probe position i, candidates
-        // longer than `cut` can never pass the positional filter on a
-        // first hit here, and the cutoff only tightens at later
-        // positions — so at level 1 the length-ascending list is simply
-        // cut short, and at higher levels first contacts past the
-        // cutoff are suppressed (their later hits would be suppressed
-        // too; merges into live candidates still count).
-        let cut = positional_len_cutoff(lx, i, threshold);
+        let max_len_y = if level == 1 { probe.cut(i) } else { usize::MAX };
+        let mut hits = probe.at(i);
         for p in &plist[start..] {
-            if p.rank as usize >= rank {
-                // Later ranks are probed by their own rounds.
+            let ly = lens[p.rank as usize] as usize;
+            if p.rank as usize >= rank || ly > max_len_y {
                 break;
             }
-            if (p.tier as usize) >= level {
-                continue;
+            if (p.tier as usize) < level {
+                hits.hit(order[p.rank as usize], ly, p.pos);
             }
-            let y = order[p.rank as usize] as usize;
-            if scratch.seen[y] == stamp {
-                scratch.cnt[y] = scratch.cnt[y].saturating_add(1);
-                continue;
-            }
-            if lens[p.rank as usize] as usize > cut {
-                if level == 1 {
-                    break;
-                }
-                continue;
-            }
-            scratch.seen[y] = stamp;
-            scratch.cnt[y] = 1;
-            scratch.best_i[y] = i as u32;
-            scratch.best_j[y] = p.pos;
-            scratch.cand.push(y as u32);
         }
     }
 
-    // Phase 2: filter + verify the candidates that met the count
-    // requirement. Count-filter failures never surface as candidates:
-    // like the length skip, they are proven dead from index geometry
-    // alone.
-    for &yc in &scratch.cand {
-        let y = yc as usize;
-        if (scratch.cnt[y] as usize) < level {
-            continue;
-        }
-        stats.candidates += 1;
-        let ydoc = docs[y];
-        let ly = ydoc.len();
-        let (i, j) = (scratch.best_i[y] as usize, scratch.best_j[y] as usize);
-        // Positional filter at the pair's first shared token: overlap
-        // so far is exactly 1, and at most min of the remaining tails.
-        let alpha = min_overlap(lx, ly, threshold);
-        let upper = 1 + (lx - i - 1).min(ly - j - 1);
-        if upper < alpha {
-            stats.positional_pruned += 1;
-            continue;
-        }
-        let pair =
-            Pair::new(RecordId(x), RecordId(yc)).expect("distinct ranks imply distinct records");
-        if !dataset.is_candidate(&pair) {
-            stats.space_pruned += 1;
-            continue;
-        }
-        // Band-signature reject: popcount(sig_x ^ sig_y) lower-bounds
-        // |x Δ y|, which a qualifying pair keeps ≤ lx + ly − 2α. The
-        // check self-gates to short records (bound < 256) — cheaper
-        // than the suffix filter's recursive partition, so it runs
-        // first. `upper ≥ alpha` here guarantees `2α ≤ lx + ly`.
-        let sig_budget = lx + ly - 2 * alpha;
-        if sig_budget < 256 && sigs[x as usize].distance_lb(&sigs[y]) > sig_budget {
-            stats.signature_rejected += 1;
-            continue;
-        }
-        // Suffix filter: the suffixes past the first shared token must
-        // contribute the remaining α − 1 overlap, so their Hamming
-        // distance is bounded by |xs| + |ys| − 2(α − 1).
-        let (xs, ys) = (&doc[i + 1..], &ydoc[j + 1..]);
-        if alpha > 1 {
-            let hmax = xs.len() + ys.len() - 2 * (alpha - 1);
-            if suffix_hamming_lb(xs, ys, hmax, SUFFIX_FILTER_DEPTH) > hmax {
-                stats.suffix_pruned += 1;
-                continue;
-            }
-        }
-        // Resume-merge verification: overlap of the records at or
-        // before (i, j) is exactly 1, so only the suffixes remain.
-        stats.verified += 1;
-        let Some(suffix_overlap) = overlap_reaching(xs, ys, alpha.saturating_sub(1)) else {
-            continue;
-        };
-        let o = 1 + suffix_overlap;
-        let sim = o as f64 / (lx + ly - o) as f64;
-        if sim >= threshold {
-            stats.results += 1;
-            out.push(ScoredPair::new(pair, sim));
+    // Phase 2: the shared filter + verify kernel.
+    let pair_of = |y: u32| {
+        Pair::new(RecordId(x), RecordId(y)).expect("distinct ranks imply distinct records")
+    };
+    for &y in probe.candidates() {
+        let space_ok = || dataset.is_candidate(&pair_of(y));
+        if let Some(sim) = probe.verify(y, docs[y as usize], &sigs[y as usize], space_ok, stats) {
+            out.push(ScoredPair::new(pair_of(y), sim));
         }
     }
 }
@@ -457,6 +347,7 @@ fn probe(
 mod tests {
     use super::*;
     use crate::allpairs::all_pairs_scored;
+    use crate::filters::suffix_hamming_lb;
     use crowder_types::{PairSpace, SourceId};
     use proptest::prelude::*;
 

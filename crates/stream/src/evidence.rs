@@ -79,10 +79,24 @@ impl Tally {
 /// random clicker (`sensitivity + specificity = 1`) weighs 0, and an
 /// estimated adversary (J < 0) is silenced rather than trusted
 /// negatively — flipping a liar's votes would itself be evidence
-/// laundering if the estimate is wrong.
+/// laundering if the estimate is wrong. A NaN estimate weighs 0 too
+/// (`f64::clamp` alone would pass it through).
 #[inline]
 pub fn vote_weight(sensitivity: f64, specificity: f64) -> f64 {
-    (sensitivity + specificity - 1.0).clamp(0.0, 1.0)
+    let j = sensitivity + specificity - 1.0;
+    if j.is_nan() {
+        0.0
+    } else {
+        j.clamp(0.0, 1.0)
+    }
+}
+
+/// Is `weight` a usable vote weight — finite and non-negative? Anything
+/// else would poison a tally for good (NaN never compares, ±∞ never
+/// cancels), so every entry point rejects it.
+#[inline]
+pub fn valid_weight(weight: f64) -> bool {
+    weight.is_finite() && weight >= 0.0
 }
 
 /// How one vote (or purge) changed a pair's derived edge state.
@@ -224,6 +238,16 @@ mod tests {
             commit_margin: 2.0,
             veto_margin: 2.0,
         })
+    }
+
+    #[test]
+    fn vote_weight_maps_nan_estimates_to_zero() {
+        assert_eq!(vote_weight(f64::NAN, 0.9), 0.0);
+        assert_eq!(vote_weight(0.9, f64::NAN), 0.0);
+        assert_eq!(vote_weight(f64::INFINITY, f64::NEG_INFINITY), 0.0);
+        assert_eq!(vote_weight(0.9, 0.8), 0.7000000000000002);
+        assert!(!valid_weight(f64::NAN) && !valid_weight(f64::INFINITY));
+        assert!(!valid_weight(-0.5) && valid_weight(0.0) && valid_weight(2.5));
     }
 
     #[test]

@@ -24,15 +24,12 @@
 //! * [`DeltaIndex`] — the machine pass (§2.1.1's likelihood = Jaccard,
 //!   §2.2's footnote on indexed joins) as an insert-capable PPJoin+
 //!   probe: symmetric prefix filter, positional filter, suffix filter,
-//!   and resume-merge verification, shared with the batch engine via
-//!   `crowder_simjoin::filters`. Posting lists are **sharded by rank
-//!   band** ([`IndexLayout`]) so one probe can fan out across shards via
-//!   scoped threads, and **bucketed by record length** (O(1) append per
-//!   arrival) so the length filter is a binary-searched window over
-//!   bucket headers, not a per-candidate check; the two-phase probe
-//!   (hit collection → minimal-position merge → filter/verify) makes
-//!   results *and* funnel counters bit-for-bit invariant under the
-//!   shard and thread counts — see the [`delta`] module docs. Deletion is a **tombstone**: the dead
+//!   and resume-merge verification. The probe itself is the kernel the
+//!   batch engine runs too (`crowder_simjoin::filters::Probe`); this
+//!   crate keeps only the posting lists, which are **bucketed by record
+//!   length** (O(1) append per arrival) so the length filter is a
+//!   binary-searched window over bucket headers, not a per-candidate
+//!   check — see the [`delta`] module docs. Deletion is a **tombstone**: the dead
 //!   slot is skipped by every probe immediately (O(1) to delete) and its
 //!   postings are swept out at the next epoch rebuild, so churn never
 //!   degrades the index permanently. Read-only **query probes**
@@ -88,9 +85,11 @@ pub mod live;
 pub mod resolver;
 pub mod state;
 
-pub use delta::{DeltaIndex, IndexLayout, RANK_BAND_WIDTH};
+pub use delta::DeltaIndex;
 pub use dict::StreamingDict;
-pub use evidence::{vote_weight, EvidenceConfig, EvidenceLedger, EvidenceShift, Tally};
+pub use evidence::{
+    valid_weight, vote_weight, EvidenceConfig, EvidenceLedger, EvidenceShift, Tally,
+};
 pub use live::{HitId, LiveHits};
 pub use resolver::{
     EvidenceReport, HitDelta, IncrementalResolver, InsertReport, QueryMatch, RemoveReport,

@@ -44,9 +44,9 @@ use crowder_text::tokenize;
 use crowder_types::{Dataset, Error, Pair, PairSpace, RecordId, ScoredPair, SourceId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use crate::delta::{DeltaIndex, IndexLayout};
+use crate::delta::DeltaIndex;
 use crate::dict::{StreamingDict, FRESH_SPAN};
-use crate::evidence::{EvidenceConfig, EvidenceLedger, EvidenceShift, Tally};
+use crate::evidence::{valid_weight, EvidenceConfig, EvidenceLedger, EvidenceShift, Tally};
 use crate::live::{HitId, LiveHits};
 use crate::state::ResolverState;
 
@@ -67,10 +67,6 @@ pub struct StreamConfig {
     pub rebuild_min_interval: usize,
     /// Commit/veto thresholds of the signed evidence ledger.
     pub evidence: EvidenceConfig,
-    /// Shard/thread layout of the delta index (see [`IndexLayout`]).
-    /// Probe results are bit-for-bit invariant under it; it tunes only
-    /// where the probe work happens.
-    pub layout: IndexLayout,
 }
 
 impl Default for StreamConfig {
@@ -82,7 +78,6 @@ impl Default for StreamConfig {
             two_tiered: TwoTieredConfig::default(),
             rebuild_min_interval: 256,
             evidence: EvidenceConfig::default(),
-            layout: IndexLayout::default(),
         }
     }
 }
@@ -226,7 +221,7 @@ impl IncrementalResolver {
     ) -> Self {
         let generator = TwoTieredGenerator::with_config(config.two_tiered.clone());
         IncrementalResolver {
-            index: DeltaIndex::with_layout(config.threshold, config.layout),
+            index: DeltaIndex::new(config.threshold),
             ledger: EvidenceLedger::new(config.evidence),
             config,
             dataset: Dataset::new(name, schema, pair_space),
@@ -536,11 +531,14 @@ impl IncrementalResolver {
     /// weight (see [`crate::evidence::vote_weight`]). Votes addressed
     /// to deleted or unknown records are dropped (the carry-over path
     /// delivers answers for retired HITs, whose records may since have
-    /// been removed). Edge commits can merge clusters; decommits and
+    /// been removed), and so are votes whose weight is NaN, infinite,
+    /// or negative ([`valid_weight`]) — they would poison the pair's
+    /// tally for good. Edge commits can merge clusters; decommits and
     /// vetoes can split them.
     pub fn record_evidence(&mut self, pair: Pair, verdict: bool, weight: f64) -> EvidenceReport {
         let _timer = crowder_obs::span_light!("stream.resolver.evidence_ns");
-        if pair.hi().index() >= self.dataset.len()
+        if !valid_weight(weight)
+            || pair.hi().index() >= self.dataset.len()
             || !self.index.is_alive(pair.lo())
             || !self.index.is_alive(pair.hi())
         {
@@ -922,7 +920,7 @@ impl IncrementalResolver {
                 }
             })
             .collect();
-        let index = DeltaIndex::from_docs(config.threshold, config.layout, docs, alive)?;
+        let index = DeltaIndex::from_docs(config.threshold, docs, alive)?;
         for (pair, _, _, _) in &tallies {
             if pair.hi().index() >= dataset.len() {
                 return Err(Error::UnknownRecord(pair.hi().0));
@@ -1463,6 +1461,22 @@ mod tests {
         let delta = r.regenerate_hits().unwrap();
         assert!(!delta.created.is_empty(), "split sides get fresh HITs");
         assert_eq!(r.cluster_count(), 2);
+    }
+
+    #[test]
+    fn non_finite_or_negative_weights_are_dropped() {
+        let mut r = resolver(0.6);
+        feed(&mut r, &["a b c d", "a b c d", "w x y z", "w x y z"]);
+        let bridge = Pair::of(1, 2);
+        for weight in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let rep = r.record_evidence(bridge, true, weight);
+            assert!(!rep.committed && !rep.merged, "weight {weight}: {rep:?}");
+        }
+        assert!(r.ledger().is_empty(), "no tally was opened");
+        // The pair's tally is unpoisoned: one unit YES still commits it.
+        let rep = r.record_evidence(bridge, true, 1.0);
+        assert!(rep.committed && rep.merged, "{rep:?}");
+        assert_eq!(r.ledger().tally(&bridge).map(|t| t.net()), Some(1.0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks of the cutting-stock bottom tier: full
-//! ILP (column generation + branch-and-bound) vs FFD-only.
+//! Criterion micro-benchmarks of the cutting-stock bottom tier: the full
+//! `pack_items` (FFD, L2 bound, bin-completion search) vs FFD alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowder_packing::{first_fit_decreasing, pack_items, solve_lp_relaxation, PackingConfig};
+use crowder_packing::{first_fit_decreasing, pack_items, PackingConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -30,18 +30,11 @@ fn packing_bench(c: &mut Criterion) {
     group.sample_size(10);
     for n in [100usize, 1000, 5000] {
         let sizes = scc_sizes(n, 10, 42);
-        group.bench_with_input(BenchmarkId::new("ilp_full", n), &sizes, |b, sizes| {
+        group.bench_with_input(BenchmarkId::new("pack_items", n), &sizes, |b, sizes| {
             b.iter(|| black_box(pack_items(sizes, 10, &PackingConfig::default()).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("ffd_only", n), &sizes, |b, sizes| {
             b.iter(|| black_box(first_fit_decreasing(sizes, 10).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("lp_relaxation", n), &sizes, |b, sizes| {
-            let mut demands = vec![0u64; 10];
-            for &s in sizes {
-                demands[s - 1] += 1;
-            }
-            b.iter(|| black_box(solve_lp_relaxation(&demands, 10).unwrap()))
         });
     }
     group.finish();

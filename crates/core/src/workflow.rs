@@ -19,7 +19,7 @@ pub enum HitStrategy {
     /// Cluster-based HITs from the two-tiered generator (§5); the
     /// cluster-size threshold is [`HybridConfig::cluster_size`].
     ClusterBased {
-        /// Two-tiered tuning (packing budget, tie-break ablation).
+        /// Two-tiered tuning (packing and tie-break ablations).
         config: TwoTieredConfig,
     },
 }

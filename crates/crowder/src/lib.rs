@@ -12,7 +12,7 @@
 //! 2. the surviving pairs are compiled into **HITs** — either pair-based
 //!    batches or *cluster-based* record groups, whose minimum-count
 //!    generation is NP-Hard and solved by the paper's two-tiered
-//!    heuristic (greedy graph partitioning + cutting-stock ILP);
+//!    heuristic (greedy graph partitioning + cutting-stock bin packing);
 //! 3. the **crowd** verifies the HITs (simulated here — see
 //!    `crowder-crowd`), with each HIT replicated across 3 workers;
 //! 4. answers are **aggregated** by Dawid–Skene EM into a final ranked

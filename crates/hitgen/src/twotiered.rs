@@ -7,8 +7,9 @@
 //!   component (ties: minimum *outdegree* to the rest of the graph), and
 //!   removing covered edges between rounds.
 //! * **Bottom tier** (`crowder-packing`): pack the resulting small
-//!   components into ≤ k-sized HITs by solving the cutting-stock ILP via
-//!   column generation + branch-and-bound (§5.3).
+//!   components into ≤ k-sized HITs (§5.3's cutting-stock program) with
+//!   first-fit-decreasing, checked against the Martello–Toth L2 bound
+//!   and improved by a bin-completion search when FFD exceeds it.
 
 use crate::hit::{ClusterGenerator, Hit};
 use crate::validate::check_k;
@@ -20,8 +21,7 @@ use std::collections::BTreeSet;
 /// Configuration of the two-tiered generator.
 #[derive(Debug, Clone, Default)]
 pub struct TwoTieredConfig {
-    /// Bottom-tier packing configuration (node budget, FFD-only
-    /// ablation).
+    /// Bottom-tier packing configuration (FFD-only ablation).
     pub packing: PackingConfig,
     /// Disable the min-outdegree tie-break of Algorithm 2 line 8 and
     /// break indegree ties by record id instead. Ablation: quantifies how
@@ -224,6 +224,15 @@ mod tests {
     }
 
     #[test]
+    fn huge_k_packs_without_allocating_by_capacity() {
+        // Packing work and memory follow the component sizes, not k.
+        let pairs = [Pair::of(0, 1), Pair::of(2, 3)];
+        let hits = TwoTieredGenerator::new().generate(&pairs, 1 << 40).unwrap();
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].records(), ids(&[0, 1, 2, 3]));
+    }
+
+    #[test]
     fn ablation_variants_still_cover() {
         let pairs = figure2a_pairs();
         for config in [
@@ -232,10 +241,7 @@ mod tests {
                 ..Default::default()
             },
             TwoTieredConfig {
-                packing: crowder_packing::PackingConfig {
-                    ffd_only: true,
-                    ..Default::default()
-                },
+                packing: crowder_packing::PackingConfig { ffd_only: true },
                 ..Default::default()
             },
         ] {

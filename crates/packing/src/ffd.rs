@@ -1,8 +1,10 @@
 //! First-fit decreasing — the classical bin-packing heuristic.
 //!
-//! FFD seeds the branch-and-bound incumbent and serves as the packing
-//! ablation baseline ("what if the bottom tier skipped the ILP?"). It is
-//! guaranteed to use at most `11/9·OPT + 2/3` bins.
+//! FFD is the bottom tier's first packing: the search runs only when it
+//! exceeds the L2 bound, and must beat its bin count to replace it. On
+//! its own it is the packing ablation baseline ("what if the bottom tier
+//! skipped the search?"). It is guaranteed to use at most
+//! `11/9·OPT + 2/3` bins.
 
 use crowder_types::{Error, Result};
 

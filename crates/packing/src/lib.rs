@@ -12,32 +12,23 @@
 //!   min  Σᵢ xᵢ      s.t.  Σᵢ aᵢⱼ xᵢ ≥ cⱼ  ∀j,   xᵢ ≥ 0 integer
 //! ```
 //!
-//! and solves it with *column generation and branch-and-bound*
-//! (Gilmore–Gomory \[14\]; Valério de Carvalho \[25\]). This crate implements
-//! that machinery from scratch:
+//! and solves it with column generation and branch-and-bound. This crate
+//! solves the same program without the LP relaxation:
 //!
-//! * [`pattern`] — feasible patterns and their enumeration,
-//! * [`simplex`] — a dense-tableau simplex solver for the LP relaxations,
-//! * [`knapsack`] — the unbounded-knapsack *pricing problem* that
-//!   generates improving columns from the LP duals,
-//! * [`colgen`] — the column-generation loop producing the LP lower
-//!   bound and a fractional master solution,
-//! * [`branchbound`] — an exact bin-completion branch-and-bound used when
-//!   the LP/FFD bounds do not already certify optimality,
-//! * [`ffd`] — first-fit-decreasing, the classical heuristic that seeds
-//!   the incumbent,
+//! * [`ffd`] — first-fit-decreasing, which already reaches the optimum
+//!   on almost every instance the top tier produces,
+//! * `bound` — the Martello–Toth L2 lower bound, which certifies FFD in
+//!   those cases,
+//! * [`branchbound`] — an exact bin-completion search over count-vector
+//!   bins, run only when FFD exceeds L2 and kept only when it finds
+//!   strictly fewer bins,
 //! * [`solver`] — the public entry point [`pack_items`] tying the pieces
 //!   together and mapping size classes back to concrete items.
 
+mod bound;
 pub mod branchbound;
-pub mod colgen;
 pub mod ffd;
-pub mod knapsack;
-pub mod pattern;
-pub mod simplex;
 pub mod solver;
 
-pub use colgen::{solve_lp_relaxation, LpMaster};
 pub use ffd::first_fit_decreasing;
-pub use pattern::Pattern;
 pub use solver::{pack_items, PackingConfig, PackingSolution};

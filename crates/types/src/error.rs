@@ -28,7 +28,7 @@ pub enum Error {
     Infeasible(String),
     /// A numerical routine failed to converge within its iteration budget.
     NoConvergence {
-        /// Name of the routine (e.g. `"dawid-skene"`, `"simplex"`).
+        /// Name of the routine (e.g. `"crowd-simulation"`).
         routine: &'static str,
         /// Iterations performed before giving up.
         iterations: usize,
@@ -79,10 +79,10 @@ mod tests {
         assert!(e.to_string().contains('k'));
         assert!(e.to_string().contains(">= 2"));
         let e = Error::NoConvergence {
-            routine: "simplex",
+            routine: "crowd-simulation",
             iterations: 10,
         };
-        assert!(e.to_string().contains("simplex"));
+        assert!(e.to_string().contains("crowd-simulation"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! bits, because the durability contract is *bit-for-bit* — a decimal
 //! round-trip would be a silent source of digest mismatches.
 //! Decoding is bounds-checked and returns
-//! [`Error::InvalidData`](crowder_types::Error::InvalidData) rather
+//! [`Error::InvalidData`] rather
 //! than panicking: WAL tails and snapshot files are untrusted input.
 
 use crowder_types::{Error, Result};

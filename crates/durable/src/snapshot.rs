@@ -20,8 +20,10 @@ use crate::storage::Dir;
 /// Magic bytes opening a snapshot blob.
 pub const SNAP_MAGIC: &[u8; 4] = b"CSNP";
 /// Snapshot format version. v2 added the `signature_rejected` funnel
-/// bucket to the cumulative join stats.
-pub const SNAP_VERSION: u32 = 2;
+/// bucket to the cumulative join stats; v3 dropped the derived fields
+/// (cluster edges, per-cluster to-verify lists, removal count), which
+/// import now recomputes.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Blob name for the snapshot at `seq`.
 pub fn snap_name(seq: u64) -> String {
@@ -111,19 +113,6 @@ fn enc_state(e: &mut Enc, state: &ResolverState) {
     for &label in &state.labels {
         e.u32(label);
     }
-    e.u32(state.edges.len() as u32);
-    for &(a, b) in &state.edges {
-        e.u32(a);
-        e.u32(b);
-    }
-    e.u32(state.component_pairs.len() as u32);
-    for (root, list) in &state.component_pairs {
-        e.usize(*root);
-        e.u32(list.len() as u32);
-        for pair in list {
-            enc_pair(e, pair);
-        }
-    }
     e.u32(state.hits.len() as u32);
     for (id, hit) in &state.hits {
         e.u64(*id);
@@ -154,7 +143,6 @@ fn enc_state(e: &mut Enc, state: &ResolverState) {
     }
     e.u64(state.next_hit);
     e.u64(state.inserts_since_rebuild);
-    e.u64(state.removed);
 }
 
 fn dec_state(d: &mut Dec) -> Result<ResolverState> {
@@ -206,18 +194,6 @@ fn dec_state(d: &mut Dec) -> Result<ResolverState> {
         results: d.u64()?,
     };
     let labels = (0..d.seq_len(4)?).map(|_| d.u32()).collect::<Result<_>>()?;
-    let mut edges = Vec::new();
-    for _ in 0..d.seq_len(8)? {
-        edges.push((d.u32()?, d.u32()?));
-    }
-    let mut component_pairs = Vec::new();
-    for _ in 0..d.seq_len(12)? {
-        let root = d.usize()?;
-        let list = (0..d.seq_len(8)?)
-            .map(|_| dec_pair(d))
-            .collect::<Result<_>>()?;
-        component_pairs.push((root, list));
-    }
     let mut hits = Vec::new();
     for _ in 0..d.seq_len(13)? {
         let id = d.u64()?;
@@ -258,13 +234,10 @@ fn dec_state(d: &mut Dec) -> Result<ResolverState> {
         tallies,
         cumulative,
         labels,
-        edges,
-        component_pairs,
         hits,
         hit_roots,
         next_hit: d.u64()?,
         inserts_since_rebuild: d.u64()?,
-        removed: d.u64()?,
     })
 }
 
@@ -423,7 +396,7 @@ mod tests {
         let state = sample_state();
         write_snapshot(&dir, 5, &state, &[]).unwrap();
         let mut newer = state.clone();
-        newer.removed += 1;
+        newer.inserts_since_rebuild += 1;
         write_snapshot(&dir, 9, &newer, &[(1, 0.5)]).unwrap();
         let (seq, loaded, weights) = load_latest_snapshot(&dir).unwrap().unwrap();
         assert_eq!((seq, &loaded), (9, &newer));
@@ -456,5 +429,25 @@ mod tests {
         let mut bad = bytes.clone();
         bad.truncate(bytes.len() - 1);
         assert!(read_snapshot(&bad, 2).is_err(), "truncated payload");
+    }
+
+    #[test]
+    fn older_format_versions_are_refused() {
+        let dir = MemDir::new();
+        write_snapshot(&dir, 4, &sample_state(), &[]).unwrap();
+        let mut bytes = dir.read(&snap_name(4)).unwrap().unwrap();
+        // The version follows the magic; the checksum covers only the
+        // payload, so the patched blob fails on its version alone.
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        match read_snapshot(&bytes, 4) {
+            Err(Error::InvalidData(msg)) => assert_eq!(
+                msg,
+                format!("snapshot: format version 2, this build reads {SNAP_VERSION}")
+            ),
+            other => panic!("expected the version error, got {other:?}"),
+        }
+        // A directory holding only v2 snapshots has no intact one.
+        dir.replace(&snap_name(4), &bytes).unwrap();
+        assert!(load_latest_snapshot(&dir).unwrap().is_none());
     }
 }

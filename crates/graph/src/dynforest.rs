@@ -24,8 +24,8 @@
 //!
 //! **Label invariant**: a component's label is always the id of one of
 //! its member vertices, and a vertex id labels at most one component.
-//! Side tables keyed by label (HIT books, pair lists) therefore never
-//! see two distinct components under the same key.
+//! Side tables keyed by label (the resolver's HIT books) therefore
+//! never see two distinct components under the same key.
 
 use crowder_types::{Error, Result};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -59,16 +59,12 @@ pub enum EdgeCut {
     Kept,
     /// The edge was a bridge: the component split. `kept` is the old
     /// label (still valid for the side holding the label vertex);
-    /// `split_off` is the fresh label of the other side, and `moved`
-    /// its member vertices — callers re-partition label-keyed side
-    /// tables with it.
+    /// `split_off` is the fresh label of the other side.
     Split {
         /// Label that survived (the side containing the label vertex).
         kept: usize,
         /// New label of the detached side.
         split_off: usize,
-        /// Vertices now living under `split_off`.
-        moved: Vec<usize>,
     },
 }
 
@@ -152,21 +148,6 @@ impl DynamicConnectivity {
     #[inline]
     pub fn labels(&self) -> &[u32] {
         &self.comp
-    }
-
-    /// All current edges as canonical `(min, max)` tuples, sorted — a
-    /// deterministic export for snapshots.
-    pub fn edge_list(&self) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = Vec::with_capacity(self.edges);
-        for (v, nbrs) in self.adj.iter().enumerate() {
-            for &u in nbrs {
-                if (v as u32) < u {
-                    out.push((v as u32, u));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     /// Append one isolated vertex; returns its id.
@@ -317,33 +298,26 @@ impl DynamicConnectivity {
         // the other side is relabelled after its endpoint (a member of
         // that side, hence a valid fresh label — see the module-level
         // label invariant).
-        let a_holds_label = seen.contains(&old);
-        let (new_label, moved): (u32, Vec<u32>) = if a_holds_label {
-            let b_side: Vec<u32> = self.members[&old]
-                .iter()
-                .copied()
-                .filter(|v| !seen.contains(v))
-                .collect();
-            (b as u32, b_side)
+        let (a_side, b_side): (Vec<u32>, Vec<u32>) = self
+            .members
+            .remove(&old)
+            .expect("label has members")
+            .into_iter()
+            .partition(|v| seen.contains(v));
+        let (kept_side, new_label, moved) = if seen.contains(&old) {
+            (a_side, b as u32, b_side)
         } else {
-            (a as u32, seen.iter().copied().collect())
+            (b_side, a as u32, a_side)
         };
-        let kept_side: Vec<u32> = self.members[&old]
-            .iter()
-            .copied()
-            .filter(|v| !moved.contains(v))
-            .collect();
         for &v in &moved {
             self.comp[v as usize] = new_label;
         }
         self.members.insert(old, kept_side);
-        let moved_usize: Vec<usize> = moved.iter().map(|&v| v as usize).collect();
         self.members.insert(new_label, moved);
         self.components += 1;
         EdgeCut::Split {
             kept: old as usize,
             split_off: new_label as usize,
-            moved: moved_usize,
         }
     }
 }
@@ -368,13 +342,10 @@ mod tests {
         assert_eq!(g.add_edge(0, 1), EdgeLink::Duplicate);
         assert_eq!(g.add_edge(1, 0), EdgeLink::Duplicate);
         match g.remove_edge(0, 1) {
-            EdgeCut::Split {
-                kept,
-                split_off,
-                moved,
-            } => {
+            EdgeCut::Split { kept, split_off } => {
                 assert_ne!(kept, split_off);
-                assert_eq!(moved.len(), 1);
+                assert_eq!(g.component_size(split_off), 1);
+                assert_eq!(g.root(split_off), split_off);
             }
             other => panic!("expected split, got {other:?}"),
         }
@@ -392,8 +363,8 @@ mod tests {
         assert_eq!(g.remove_edge(0, 1), EdgeCut::Kept);
         assert!(g.connected(0, 1));
         // Now a path 0-2-1: removing 2-0 isolates vertex 0. Which side
-        // is reported as `moved` depends on where the old label sits;
-        // the resulting components are what matters.
+        // is reported as `split_off` depends on where the old label
+        // sits; the resulting components are what matters.
         match g.remove_edge(2, 0) {
             EdgeCut::Split { .. } => {}
             other => panic!("expected split, got {other:?}"),
@@ -445,19 +416,28 @@ mod tests {
             g.add_edge(0, leaf);
         }
         match g.remove_edge(0, 3) {
-            EdgeCut::Split {
-                kept,
-                split_off,
-                moved,
-            } => {
-                assert_eq!(moved, vec![3]);
+            EdgeCut::Split { kept, split_off } => {
                 assert_eq!(split_off, 3);
+                assert_eq!(g.component_members(split_off), &[3]);
                 assert_eq!(g.root(0), kept);
                 assert_eq!(g.root(3), 3);
             }
             other => panic!("expected split, got {other:?}"),
         }
         assert_eq!(g.component_size(0), 4);
+    }
+
+    /// Every edge as a canonical `(min, max)` tuple, sorted.
+    fn edges(g: &DynamicConnectivity) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = (0..g.len())
+            .flat_map(|v| {
+                g.neighbors(v)
+                    .filter(move |&u| v < u)
+                    .map(move |u| (v as u32, u as u32))
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     #[test]
@@ -468,9 +448,9 @@ mod tests {
         g.add_edge(2, 0);
         g.add_edge(4, 5);
         g.add_edge(5, 6);
-        let mut h = DynamicConnectivity::from_parts(g.labels().to_vec(), &g.edge_list()).unwrap();
+        let mut h = DynamicConnectivity::from_parts(g.labels().to_vec(), &edges(&g)).unwrap();
         assert_eq!(h.labels(), g.labels());
-        assert_eq!(h.edge_list(), g.edge_list());
+        assert_eq!(edges(&h), edges(&g));
         assert_eq!(h.component_count(), g.component_count());
         // Future mutations evolve labels identically.
         for (a, b, add) in [(5, 6, false), (3, 7, true), (0, 1, false), (1, 2, false)] {

@@ -71,9 +71,9 @@ impl UnionFind {
     /// merged (the combined set's representative is `winner`; `absorbed`
     /// is no longer a representative), `None` when already joined.
     ///
-    /// Callers that key side tables by representative (e.g. the per-
-    /// component pair lists in `crowder-stream`) need the loser's
-    /// identity to migrate its entry.
+    /// Callers that key side tables by representative (e.g. a book of
+    /// HIT ids per cluster) need the loser's identity to migrate its
+    /// entry.
     pub fn union_roots(&mut self, a: usize, b: usize) -> Option<(usize, usize)> {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {

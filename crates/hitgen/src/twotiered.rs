@@ -303,5 +303,31 @@ mod tests {
             // be worse.
             prop_assert!(hits.len() <= pairs.len());
         }
+
+        /// The HITs depend only on the *set* of input pairs: shuffled
+        /// input (duplicates included) gives the same HITs in the same
+        /// order. The incremental resolver relies on this — it hands the
+        /// generator a cluster's pairs in adjacency order.
+        #[test]
+        fn output_ignores_input_order(
+            edges in proptest::collection::vec((0u32..30, 0u32..30), 1..80),
+            k in 2usize..=8,
+            seed in 0u64..=1_000_000,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let pairs: Vec<Pair> = edges
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| Pair::of(a, b))
+                .collect();
+            let mut shuffled = pairs.clone();
+            shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            let generator = TwoTieredGenerator::new();
+            prop_assert_eq!(
+                generator.generate(&shuffled, k).unwrap(),
+                generator.generate(&pairs, k).unwrap()
+            );
+        }
     }
 }

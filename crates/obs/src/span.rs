@@ -1,6 +1,6 @@
 //! RAII span timers and the process monotonic clock.
 //!
-//! [`Span::enter`] (normally via the [`span!`](crate::span) macro) is
+//! [`Span::enter`] (normally via the [`span!`](crate::span!) macro) is
 //! the *only* sanctioned way to time a hot path outside the bench
 //! crates — CI greps for stray `Instant::now` calls. When no recorder
 //! is installed a span costs one relaxed load; when one is installed it
@@ -33,7 +33,7 @@ pub fn now_ns() -> u64 {
 }
 
 /// An open span; records on drop. Construct through
-/// [`span!`](crate::span) or [`span_light!`](crate::span_light), which
+/// [`span!`](crate::span!) or [`span_light!`](crate::span_light), which
 /// supply the per-call-site histogram cache slot.
 #[must_use = "a span records when dropped; binding it to _ drops it immediately"]
 pub struct Span {

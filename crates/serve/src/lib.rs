@@ -17,7 +17,8 @@
 //! ## The model, in four rules
 //!
 //! 1. **One writer.** A single worker thread owns the engine (plain
-//!    [`IncrementalResolver`] or [`crowder_durable::DurableResolver`]).
+//!    [`crowder_stream::IncrementalResolver`] or
+//!    [`crowder_durable::DurableResolver`]).
 //!    All commands — ingest batches and queries — pass through one
 //!    bounded FIFO, so the service's history is a *serial* order of
 //!    operations. Concurrency never changes what the resolver computes,

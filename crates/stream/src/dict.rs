@@ -41,7 +41,8 @@ use std::collections::HashMap;
 /// Size of the rank band reserved for tokens interned since the last
 /// [`StreamingDict::rerank`]. Epoch ranks start at `FRESH_SPAN`; fresh
 /// tokens count down from `FRESH_SPAN − 1`. The resolver re-ranks long
-/// before the band exhausts; [`StreamingDict::intern`] panics if not.
+/// before the band exhausts; interning a token through
+/// [`StreamingDict::encode_record`] panics if not.
 pub const FRESH_SPAN: u32 = 1 << 24;
 
 /// A growable token ↔ id interning table with epoch-based ranks.
@@ -150,7 +151,8 @@ impl StreamingDict {
     /// map to their current rank; unknown tokens take the *virtual*
     /// fresh ranks they would have received had the record arrived —
     /// counting down from the current fresh watermark, in token-set
-    /// iteration order, exactly mirroring [`StreamingDict::intern`] —
+    /// iteration order, exactly mirroring how
+    /// [`StreamingDict::encode_record`] interns them —
     /// without interning anything or touching a document frequency.
     /// Returns the ranks sorted ascending, ready for
     /// `DeltaIndex::probe_query`.
@@ -226,8 +228,8 @@ impl StreamingDict {
     }
 
     /// Start a new epoch: re-assign every token's rank by ascending
-    /// `(document frequency, token)` — the batch [`TokenDict`]
-    /// (crowder-text) order — starting at [`FRESH_SPAN`], and empty the
+    /// `(document frequency, token)` — the batch
+    /// [`TokenDict`](crowder_text::TokenDict) order — starting at [`FRESH_SPAN`], and empty the
     /// fresh band. Every rank may change; the caller must re-encode its
     /// rank-sorted record lists and rebuild any rank-keyed index.
     pub fn rerank(&mut self) {

@@ -43,7 +43,7 @@
 //!   decommits when contradicting answers pull it back; a machine edge
 //!   is **vetoed** when net weight falls past the veto margin. Vote
 //!   weights are Youden's J over Dawid–Skene worker-quality estimates
-//!   ([`vote_weight`](evidence::vote_weight)), so spammers weigh ~0 and
+//!   ([`vote_weight`]), so spammers weigh ~0 and
 //!   estimated liars are silenced.
 //! * [`IncrementalResolver`] — the mutable core. Clustering lives in a
 //!   [`DynamicConnectivity`](crowder_graph::DynamicConnectivity) graph
@@ -52,13 +52,19 @@
 //!   evidence shifts deactivate them — so clusters can **split**, not
 //!   just grow. The mutation API is `insert` / `remove` / `retract` /
 //!   `record_evidence`; see the [`resolver`] module docs for the exact
-//!   edge-state rule and the per-mutation reports.
+//!   edge-state rule and the per-mutation reports. The pairs awaiting
+//!   crowd verification are one set, not per-cluster lists: a cluster's
+//!   share is read off its members' edges when its HITs regenerate.
 //! * [`LiveHits`] — live HIT regeneration: dirty clusters re-enter the
 //!   paper's two-tiered generator (§5, Algorithms 1–2 + the
 //!   cutting-stock packing of §5.3) while untouched clusters keep their
 //!   published HITs under stable [`HitId`]s. Splits retire the old
 //!   cluster's HITs and publish fresh ones for each side; a cluster that
 //!   loses its last to-verify pair just has its HITs withdrawn.
+//! * [`ResolverState`] — the snapshot form: history only (corpus,
+//!   dictionary, pair order, tallies, cluster labels, HIT books).
+//!   Cluster edges, the to-verify set and the removal count are
+//!   re-derived on import.
 //!
 //! ## The exactness contract
 //!

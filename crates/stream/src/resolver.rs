@@ -34,8 +34,9 @@
 //! records are alive, and it is neither vetoed nor committed — the
 //! crowd has answered those, so republishing them would only re-ask.
 //! A decommit re-lists the pair for re-verification. Every listed pair
-//! has an active edge, so its endpoints always share a cluster and the
-//! per-cluster pair lists partition cleanly on splits.
+//! has an active edge, so its endpoints always share a cluster, and a
+//! cluster's to-verify pairs are exactly the listed pairs among its
+//! members' edges — a view, not stored state.
 
 use crowder_graph::{DynamicConnectivity, EdgeCut, EdgeLink};
 use crowder_hitgen::{ClusterGenerator, TwoTieredConfig, TwoTieredGenerator};
@@ -198,17 +199,14 @@ pub struct IncrementalResolver {
     cumulative: JoinStats,
     /// The dynamic cluster graph (machine + committed crowd edges).
     conn: DynamicConnectivity,
-    /// Pairs awaiting crowd verification, keyed by current component
-    /// label (see module docs for the listing rule).
-    component_pairs: HashMap<usize, Vec<Pair>>,
-    /// Pairs currently listed in some component list.
+    /// Pairs awaiting crowd verification (see module docs for the
+    /// listing rule).
     listed: HashSet<Pair>,
     /// Component labels whose clusters changed since the last flush.
     dirty: BTreeSet<usize>,
     live: LiveHits,
     generator: TwoTieredGenerator,
     inserts_since_rebuild: usize,
-    removed: usize,
 }
 
 impl IncrementalResolver {
@@ -231,13 +229,11 @@ impl IncrementalResolver {
             machine: HashSet::new(),
             cumulative: JoinStats::default(),
             conn: DynamicConnectivity::new(0),
-            component_pairs: HashMap::new(),
             listed: HashSet::new(),
             dirty: BTreeSet::new(),
             live: LiveHits::new(),
             generator,
             inserts_since_rebuild: 0,
-            removed: 0,
         }
     }
 
@@ -400,7 +396,6 @@ impl IncrementalResolver {
             splits += shift.split as usize;
         }
         self.pairs.retain(|sp| !sp.pair.contains(record));
-        self.removed += 1;
         if crowder_obs::recording() {
             crowder_obs::counter!("stream.resolver.removes").incr();
             crowder_obs::counter!("stream.resolver.splits").add(splits as u64);
@@ -609,7 +604,7 @@ impl IncrementalResolver {
         (self.machine.contains(pair) && !self.ledger.vetoed(pair)) || self.ledger.committed(pair)
     }
 
-    /// Should `pair` sit in a cluster's to-verify list right now?
+    /// Should `pair` await crowd verification right now?
     /// Committed and vetoed pairs have been answered — republishing
     /// them would re-ask the crowd what it already said. A decommit
     /// (contradicting evidence) re-lists the pair for re-verification.
@@ -627,18 +622,10 @@ impl IncrementalResolver {
         let (a, b) = (pair.lo().index(), pair.hi().index());
         let mut shift = ClusterShift::default();
 
-        // 1. Unlist before cutting: the pair may be about to cross a
-        //    split boundary.
+        // 1. Unlist: the pair's cluster loses a to-verify pair.
         if self.listed.contains(&pair) && !self.listed_desired(&pair) {
             self.listed.remove(&pair);
-            let root = self.conn.root(a);
-            if let Some(list) = self.component_pairs.get_mut(&root) {
-                list.retain(|p| *p != pair);
-                if list.is_empty() {
-                    self.component_pairs.remove(&root);
-                }
-            }
-            self.dirty.insert(root);
+            self.dirty.insert(self.conn.root(a));
         }
 
         // 2. Edge reconciliation.
@@ -646,16 +633,6 @@ impl IncrementalResolver {
         if desired && !self.conn.has_edge(a, b) {
             match self.conn.add_edge(a, b) {
                 EdgeLink::Merged { winner, absorbed } => {
-                    let mut kept = self.component_pairs.remove(&winner).unwrap_or_default();
-                    let mut moved = self.component_pairs.remove(&absorbed).unwrap_or_default();
-                    // Small-to-large: append the shorter list.
-                    if moved.len() > kept.len() {
-                        std::mem::swap(&mut kept, &mut moved);
-                    }
-                    kept.append(&mut moved);
-                    if !kept.is_empty() {
-                        self.component_pairs.insert(winner, kept);
-                    }
                     self.live.merge_roots(winner, absorbed);
                     self.dirty.remove(&absorbed);
                     self.dirty.insert(winner);
@@ -671,23 +648,7 @@ impl IncrementalResolver {
                 EdgeCut::Kept => {
                     self.dirty.insert(self.conn.root(a));
                 }
-                EdgeCut::Split {
-                    kept, split_off, ..
-                } => {
-                    // Re-partition the to-verify list between the two
-                    // sides. Every listed pair has an active edge, so
-                    // its endpoints landed on the same side.
-                    if let Some(list) = self.component_pairs.remove(&kept) {
-                        let (keep, moved): (Vec<Pair>, Vec<Pair>) = list
-                            .into_iter()
-                            .partition(|p| self.conn.root(p.lo().index()) == kept);
-                        if !keep.is_empty() {
-                            self.component_pairs.insert(kept, keep);
-                        }
-                        if !moved.is_empty() {
-                            self.component_pairs.insert(split_off, moved);
-                        }
-                    }
+                EdgeCut::Split { kept, split_off } => {
                     self.dirty.insert(kept);
                     self.dirty.insert(split_off);
                     shift.split = true;
@@ -696,13 +657,11 @@ impl IncrementalResolver {
             }
         }
 
-        // 3. List after any merge so the pair lands under the final
-        //    component label.
+        // 3. List: the pair's cluster, merged in step 2 if need be,
+        //    gains a to-verify pair.
         if !self.listed.contains(&pair) && self.listed_desired(&pair) {
             self.listed.insert(pair);
-            let root = self.conn.root(a);
-            self.component_pairs.entry(root).or_default().push(pair);
-            self.dirty.insert(root);
+            self.dirty.insert(self.conn.root(a));
         }
         shift
     }
@@ -741,9 +700,11 @@ impl IncrementalResolver {
 
     /// Rebuild the HITs of every dirty cluster through the two-tiered
     /// generator, leaving untouched clusters' HITs (ids and content)
-    /// alone. A dirty cluster that lost all its to-verify pairs (its
-    /// records were deleted or its edges decommitted) simply has its
-    /// HITs retired. Clears the dirty set.
+    /// alone. A cluster's to-verify pairs are the listed pairs among
+    /// its members' edges; the generator's output depends only on that
+    /// set, not its order. A dirty cluster that lost all its to-verify
+    /// pairs (its records were deleted or its edges decommitted) simply
+    /// has its HITs retired. Clears the dirty set.
     pub fn regenerate_hits(&mut self) -> crowder_types::Result<HitDelta> {
         let _timer = crowder_obs::span!("stream.resolver.flush_ns");
         let mut retired = Vec::new();
@@ -753,11 +714,11 @@ impl IncrementalResolver {
         // does not silently un-dirty the rest.
         let roots: Vec<usize> = self.dirty.iter().copied().collect();
         for root in roots {
-            let fresh = match self.component_pairs.get(&root) {
-                Some(pairs) if !pairs.is_empty() => {
-                    self.generator.generate(pairs, self.config.cluster_size)?
-                }
-                _ => Vec::new(),
+            let pairs = self.listed_pairs_of(root);
+            let fresh = if pairs.is_empty() {
+                Vec::new()
+            } else {
+                self.generator.generate(&pairs, self.config.cluster_size)?
             };
             let (r, c) = self.live.regenerate(root, fresh);
             retired.extend(r);
@@ -773,6 +734,22 @@ impl IncrementalResolver {
             retired,
             created,
         })
+    }
+
+    /// The listed pairs of the cluster labelled `root`: every listed
+    /// pair is an active edge, so scanning the members' adjacency finds
+    /// them all.
+    fn listed_pairs_of(&self, root: usize) -> Vec<Pair> {
+        let mut out = Vec::new();
+        for &v in self.conn.component_members(root) {
+            for u in self.conn.neighbors(v as usize) {
+                let pair = Pair::of(v, u as u32);
+                if (v as usize) < u && self.listed.contains(&pair) {
+                    out.push(pair);
+                }
+            }
+        }
+        out
     }
 
     /// Export the complete resolver state in the deterministic snapshot
@@ -804,12 +781,6 @@ impl IncrementalResolver {
             .map(|(p, t)| (*p, t.yes.to_bits(), t.no.to_bits(), t.votes))
             .collect();
         tallies.sort_unstable_by_key(|e| e.0);
-        let mut component_pairs: Vec<(usize, Vec<Pair>)> = self
-            .component_pairs
-            .iter()
-            .map(|(&root, list)| (root, list.clone()))
-            .collect();
-        component_pairs.sort_unstable_by_key(|(root, _)| *root);
         let (hits, hit_roots, next_hit) = self.live.export_parts();
         Ok(ResolverState {
             name: self.dataset.name.clone(),
@@ -827,8 +798,6 @@ impl IncrementalResolver {
             tallies,
             cumulative: self.cumulative,
             labels: self.conn.labels().to_vec(),
-            edges: self.conn.edge_list(),
-            component_pairs,
             hits: hits.into_iter().map(|(id, h)| (id.0, h)).collect(),
             hit_roots: hit_roots
                 .into_iter()
@@ -836,7 +805,6 @@ impl IncrementalResolver {
                 .collect(),
             next_hit,
             inserts_since_rebuild: self.inserts_since_rebuild as u64,
-            removed: self.removed as u64,
         })
     }
 
@@ -845,12 +813,14 @@ impl IncrementalResolver {
     /// deployment supplies it, exactly as it supplied it to the
     /// original resolver). Everything derivable is recomputed —
     /// token-id lists re-encode through the imported dictionary, index
-    /// postings rebuild in canonical order — and everything
-    /// history-dependent (cluster labels, list orders, HIT ids) is
+    /// postings rebuild in canonical order, the cluster edges and the
+    /// to-verify set follow from the pairs, tallies and liveness flags
+    /// under the edge-state rule (module docs) — and everything
+    /// history-dependent (cluster labels, pair order, HIT ids) is
     /// restored verbatim, so the imported resolver's future behavior is
     /// bit-for-bit the exporter's. Structural inconsistencies (dangling
-    /// ids, labels that break the graph invariants, unknown tokens) are
-    /// rejected with [`Error::InvalidData`].
+    /// ids, labels that break the graph invariants or split a derived
+    /// edge, unknown tokens) are rejected with [`Error::InvalidData`].
     pub fn import_state(config: StreamConfig, state: ResolverState) -> crowder_types::Result<Self> {
         let ResolverState {
             name,
@@ -868,13 +838,10 @@ impl IncrementalResolver {
             tallies,
             cumulative,
             labels,
-            edges,
-            component_pairs,
             hits,
             hit_roots,
             next_hit,
             inserts_since_rebuild,
-            removed,
         } = state;
         let mut dataset = Dataset::new(name, schema, pair_space);
         for (source, fields) in records {
@@ -951,44 +918,6 @@ impl IncrementalResolver {
                 )
             }),
         );
-        let conn = DynamicConnectivity::from_parts(labels, &edges)?;
-        if conn.len() != dataset.len() {
-            return Err(Error::InvalidData(format!(
-                "state import: {} cluster labels for {} records",
-                conn.len(),
-                dataset.len()
-            )));
-        }
-        let mut listed = HashSet::new();
-        let mut components: HashMap<usize, Vec<Pair>> =
-            HashMap::with_capacity(component_pairs.len());
-        for (root, list) in component_pairs {
-            for pair in &list {
-                if !listed.insert(*pair) {
-                    return Err(Error::InvalidData(format!(
-                        "state import: pair {pair} listed twice"
-                    )));
-                }
-                if !machine.contains(pair) {
-                    return Err(Error::InvalidData(format!(
-                        "state import: listed pair {pair} is not machine-surfaced"
-                    )));
-                }
-                if conn.root(pair.lo().index()) != root || conn.root(pair.hi().index()) != root {
-                    return Err(Error::InvalidData(format!(
-                        "state import: pair {pair} listed under cluster {root} but lives in \
-                         {}/{}",
-                        conn.root(pair.lo().index()),
-                        conn.root(pair.hi().index())
-                    )));
-                }
-            }
-            if components.insert(root, list).is_some() {
-                return Err(Error::InvalidData(format!(
-                    "state import: duplicate cluster label {root}"
-                )));
-            }
-        }
         let live = LiveHits::from_parts(
             hits.into_iter().map(|(id, h)| (HitId(id), h)).collect(),
             hit_roots
@@ -998,7 +927,7 @@ impl IncrementalResolver {
             next_hit,
         )?;
         let generator = TwoTieredGenerator::with_config(config.two_tiered.clone());
-        Ok(IncrementalResolver {
+        let mut resolver = IncrementalResolver {
             index,
             ledger,
             config,
@@ -1008,15 +937,37 @@ impl IncrementalResolver {
             pairs,
             machine,
             cumulative,
-            conn,
-            component_pairs: components,
-            listed,
+            conn: DynamicConnectivity::new(0),
+            listed: HashSet::new(),
             dirty: BTreeSet::new(),
             live,
             generator,
             inserts_since_rebuild: inserts_since_rebuild as usize,
-            removed: removed as usize,
-        })
+        };
+        // Derive the cluster edges and the to-verify set. Only machine
+        // pairs and pairs with evidence can hold either state.
+        let edges: Vec<(u32, u32)> = resolver
+            .machine
+            .iter()
+            .chain(resolver.ledger.iter().map(|(p, _)| p))
+            .filter(|p| resolver.edge_desired(p))
+            .map(|p| (p.lo().0, p.hi().0))
+            .collect();
+        if labels.len() != resolver.dataset.len() {
+            return Err(Error::InvalidData(format!(
+                "state import: {} cluster labels for {} records",
+                labels.len(),
+                resolver.dataset.len()
+            )));
+        }
+        resolver.conn = DynamicConnectivity::from_parts(labels, &edges)?;
+        resolver.listed = resolver
+            .machine
+            .iter()
+            .filter(|p| resolver.listed_desired(p))
+            .copied()
+            .collect();
+        Ok(resolver)
     }
 
     /// The stream configuration in force.
@@ -1100,10 +1051,14 @@ impl IncrementalResolver {
     }
 
     /// Clusters (connected components with at least one pair awaiting
-    /// verification).
-    #[inline]
+    /// verification). Counts the distinct labels over the to-verify
+    /// pairs: O(listed pairs) per call.
     pub fn cluster_count(&self) -> usize {
-        self.component_pairs.len()
+        self.listed
+            .iter()
+            .map(|p| self.conn.root(p.lo().index()))
+            .collect::<HashSet<_>>()
+            .len()
     }
 
     /// The cluster label of a record (its component in the dynamic
@@ -1177,10 +1132,11 @@ impl IncrementalResolver {
         self.config.threshold
     }
 
-    /// Records deleted so far.
+    /// Records deleted so far (ids are never reused, so this is the
+    /// count of dead slots).
     #[inline]
     pub fn removed(&self) -> usize {
-        self.removed
+        self.dataset.len() - self.index.live()
     }
 }
 
@@ -1720,12 +1676,13 @@ mod tests {
         let mut bad = good.clone();
         bad.pairs.push(ScoredPair::new(Pair::of(0, 99), 0.9));
         assert!(IncrementalResolver::import_state(config.clone(), bad).is_err());
-        // A listed pair under the wrong cluster.
+        // Labels that split the machine pair (0, 1)'s derived edge.
         let mut bad = good;
-        if let Some((root, _)) = bad.component_pairs.first().cloned() {
-            bad.component_pairs = vec![(root, vec![Pair::of(0, 2)])];
-            assert!(IncrementalResolver::import_state(config, bad).is_err());
-        }
+        bad.labels = vec![0, 1, 2];
+        assert!(matches!(
+            IncrementalResolver::import_state(config, bad),
+            Err(Error::InvalidData(msg)) if msg.contains("spans two component labels")
+        ));
     }
 
     #[test]

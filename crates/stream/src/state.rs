@@ -1,28 +1,32 @@
-//! The snapshot form of an [`IncrementalResolver`]: every
-//! history-dependent bit of resolver state, flattened into plain
-//! vectors with deterministic ordering.
+//! The snapshot form of an [`IncrementalResolver`]: the resolver's
+//! history, flattened into plain vectors with deterministic ordering.
 //!
 //! The durability layer's exactness contract — recover-and-replay is
 //! bit-for-bit identical to never having crashed — only holds if the
 //! snapshot captures *all* state the resolver's future behavior depends
-//! on, including state that looks derivable but is history-dependent:
+//! on. What is **stored** is what the current corpus, pairs and votes
+//! cannot reproduce:
 //!
-//! * **cluster labels** depend on the merge/split *sequence*, not just
-//!   the current edge set, so they are exported verbatim (the adjacency
-//!   itself is exported as an edge list);
-//! * **per-cluster to-verify lists** keep discovery order — the
-//!   two-tiered generator consumes them in list order, so HIT content
-//!   depends on it;
-//! * **pair discovery order** likewise, plus each likelihood as exact
-//!   `f64` bits;
-//! * the **HIT id counter** and per-cluster id books, so regenerated
-//!   HITs continue the same never-reused id sequence.
+//! * the **corpus** (fields, sources, liveness flags, gold pairs) and
+//!   the **dictionary** (stable ids, document frequencies, current
+//!   ranks, epoch counters);
+//! * **pair discovery order**, plus each likelihood as exact `f64`
+//!   bits, and the signed **evidence tallies**;
+//! * **cluster labels**, which depend on the merge/split *sequence*,
+//!   not just the current edge set;
+//! * the **HIT id counter**, the live HITs and the per-cluster id
+//!   books, so regenerated HITs continue the same never-reused id
+//!   sequence.
 //!
-//! What is *not* here is genuinely derivable: token-id lists re-encode
-//! from the stored fields through the fully-exported dictionary, index
-//! postings rebuild from the rank lists in canonical record order (see
-//! `DeltaIndex`), and the `machine` membership set is exactly the pair
-//! list.
+//! What is **derived** on import: token-id lists re-encode from the
+//! stored fields through the dictionary; index postings rebuild from
+//! the rank lists in canonical record order (see `DeltaIndex`); the
+//! `machine` membership set is the pair list; the cluster edges and
+//! the to-verify pairs follow from the pairs, the tallies and the
+//! liveness flags under the edge-state rule (see the `resolver` module
+//! docs); and the removal count is the number of dead slots. HIT
+//! regeneration reads each cluster's to-verify pairs as a set — the
+//! two-tiered generator sorts its input — so no list order is stored.
 //!
 //! [`IncrementalResolver`]: crate::IncrementalResolver
 
@@ -70,11 +74,6 @@ pub struct ResolverState {
     pub cumulative: JoinStats,
     /// Cluster label per vertex (history-dependent — see module docs).
     pub labels: Vec<u32>,
-    /// Active cluster edges as sorted canonical `(lo, hi)` tuples.
-    pub edges: Vec<(u32, u32)>,
-    /// Per-cluster to-verify pair lists, sorted by cluster label; each
-    /// list keeps its discovery order.
-    pub component_pairs: Vec<(usize, Vec<Pair>)>,
     /// Live HITs in ascending id order.
     pub hits: Vec<(u64, Hit)>,
     /// Per-cluster published HIT ids, sorted by cluster label.
@@ -83,6 +82,4 @@ pub struct ResolverState {
     pub next_hit: u64,
     /// Arrivals since the last re-rank epoch.
     pub inserts_since_rebuild: u64,
-    /// Records deleted so far.
-    pub removed: u64,
 }

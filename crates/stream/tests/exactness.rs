@@ -357,6 +357,121 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The HIT coverage oracle: after every flush of any script of
+    /// arrivals, deletions, updates, votes, retractions and flushes,
+    /// every pair awaiting verification (machine-surfaced, neither
+    /// committed nor vetoed, both records alive) is covered by a live
+    /// HIT; every live HIT's records are alive and share one cluster;
+    /// and export → import → export is the identity.
+    #[test]
+    fn flushes_cover_every_pair_awaiting_verification(
+        names in proptest::collection::vec("[a-d]{1,2}( [a-d]{1,2}){0,4}", 6..32),
+        seed in 0u64..=1_000_000,
+        thr in 0.2f64..=0.7,
+        k in 2usize..=6,
+    ) {
+        let mut resolver = IncrementalResolver::new(
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig { threshold: thr, cluster_size: k, ..StreamConfig::default() },
+        );
+        let mut state = seed | 1;
+        let mut roll = |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let mut alive: Vec<RecordId> = Vec::new();
+        let mut pending: Vec<&String> = names.iter().rev().collect();
+        for _ in 0..names.len() * 4 {
+            match roll(10) {
+                0 if !alive.is_empty() => {
+                    let victim = alive.swap_remove(roll(alive.len()));
+                    resolver.remove(victim).unwrap();
+                }
+                1 if !alive.is_empty() => {
+                    let target = alive[roll(alive.len())];
+                    resolver.update(target, vec![names[roll(names.len())].clone()]).unwrap();
+                }
+                // A vote on a surfaced pair or on any two live records,
+                // which can commit a crowd-only edge.
+                2..=4 if alive.len() >= 2 => {
+                    let pair = if !resolver.pairs().is_empty() && roll(2) == 0 {
+                        resolver.pairs()[roll(resolver.pairs().len())].pair
+                    } else {
+                        let a = alive[roll(alive.len())];
+                        let b = alive[roll(alive.len())];
+                        if a == b {
+                            continue;
+                        }
+                        Pair::new(a, b).unwrap()
+                    };
+                    resolver.record_evidence(pair, roll(3) > 0, 0.5 + roll(4) as f64 * 0.5);
+                }
+                5 | 6 if !resolver.ledger().is_empty() => {
+                    let mut voted: Vec<Pair> = resolver.ledger().iter().map(|(p, _)| *p).collect();
+                    voted.sort_unstable();
+                    resolver.retract(voted[roll(voted.len())]);
+                }
+                7 => {
+                    resolver.regenerate_hits().unwrap();
+                    check_flush(&resolver)?;
+                }
+                _ => {
+                    if let Some(name) = pending.pop() {
+                        alive.push(resolver.insert(SourceId(0), vec![name.clone()]).unwrap().record);
+                    }
+                }
+            }
+        }
+        resolver.regenerate_hits().unwrap();
+        check_flush(&resolver)?;
+    }
+}
+
+/// The per-flush invariants of
+/// `flushes_cover_every_pair_awaiting_verification`.
+fn check_flush(resolver: &IncrementalResolver) -> Result<(), proptest::TestCaseError> {
+    let ledger = resolver.ledger();
+    for sp in resolver.pairs() {
+        let p = sp.pair;
+        if ledger.committed(&p)
+            || ledger.vetoed(&p)
+            || !resolver.is_alive(p.lo())
+            || !resolver.is_alive(p.hi())
+        {
+            continue;
+        }
+        prop_assert!(
+            resolver.live_hits().iter().any(|(_, hit)| hit.covers(&p)),
+            "pair {} awaits verification but no live HIT covers it",
+            p
+        );
+    }
+    for (id, hit) in resolver.live_hits().iter() {
+        let records = hit.records();
+        prop_assert!(
+            records.iter().all(|&r| resolver.is_alive(r)),
+            "{} holds a dead record",
+            id
+        );
+        let cluster = resolver.cluster_of(records[0]);
+        prop_assert!(
+            records.iter().all(|&r| resolver.cluster_of(r) == cluster),
+            "{} spans clusters",
+            id
+        );
+    }
+    let exported = resolver.export_state().unwrap();
+    let imported =
+        IncrementalResolver::import_state(resolver.config().clone(), exported.clone()).unwrap();
+    prop_assert_eq!(imported.export_state().unwrap(), exported);
+    Ok(())
+}
+
 /// Label-independent clustering signature: each live record mapped to
 /// the smallest record id in its component.
 fn partition_signature(resolver: &IncrementalResolver) -> Vec<(RecordId, RecordId)> {

@@ -1,27 +1,15 @@
-//! Criterion micro-benchmarks of the machine-pass strategies: exhaustive
-//! parallel all-pairs vs PPJoin+ prefix join vs token blocking — each in
-//! its interned-id form and, for the first two, the pre-interning
-//! string-based baseline (`crowder_bench::baseline`) for before/after
-//! comparison of the rewrite.
-//!
-//! After the timed groups, the bench writes a machine-readable report
-//! through `crowder_bench::perf` (quick scope) to
-//! `BENCH_simjoin.quick.json` at the workspace root — deliberately NOT
-//! the tracked `BENCH_simjoin.json`, which holds the full-scope numbers
-//! from the `bench_simjoin` binary and must not be clobbered by a
-//! restaurant-only refresh. Set `BENCH_SIMJOIN_OUT` to redirect.
+//! Criterion micro-benchmarks of the machine-pass strategies:
+//! exhaustive parallel all-pairs vs PPJoin+ prefix join vs token
+//! blocking, each at the available parallelism and (for the first two)
+//! single-threaded.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowder::prelude::*;
-use crowder_bench::baseline::{all_pairs_scored_strings, prefix_join_strings};
-use crowder_bench::perf;
 use std::hint::black_box;
 
 fn simjoin_bench(c: &mut Criterion) {
     let dataset = restaurant(&RestaurantConfig::default());
-    // The string baselines need the raw token sets that production
-    // tables no longer retain.
-    let tokens = TokenTable::build_with_sets(&dataset);
+    let tokens = TokenTable::build(&dataset);
 
     let mut group = c.benchmark_group("similarity_join");
     group.sample_size(10);
@@ -36,11 +24,6 @@ fn simjoin_bench(c: &mut Criterion) {
             &thr,
             |b, &thr| b.iter(|| black_box(all_pairs_scored(&dataset, &tokens, thr, 1))),
         );
-        group.bench_with_input(
-            BenchmarkId::new("all_pairs_strings_baseline", thr),
-            &thr,
-            |b, &thr| b.iter(|| black_box(all_pairs_scored_strings(&dataset, &tokens, thr, 0))),
-        );
         group.bench_with_input(BenchmarkId::new("prefix_join", thr), &thr, |b, &thr| {
             b.iter(|| black_box(prefix_join(&dataset, &tokens, thr, 0)))
         });
@@ -49,33 +32,11 @@ fn simjoin_bench(c: &mut Criterion) {
             &thr,
             |b, &thr| b.iter(|| black_box(prefix_join(&dataset, &tokens, thr, 1))),
         );
-        group.bench_with_input(
-            BenchmarkId::new("prefix_join_strings_baseline", thr),
-            &thr,
-            |b, &thr| b.iter(|| black_box(prefix_join_strings(&dataset, &tokens, thr))),
-        );
         group.bench_with_input(BenchmarkId::new("token_blocking", thr), &thr, |b, &thr| {
             b.iter(|| black_box(token_blocking_pairs(&dataset, &tokens, thr, 0, 0)))
         });
     }
     group.finish();
-
-    // Write the quick machine-readable report (restaurant only, few
-    // samples) next to — never over — the tracked full-scope report,
-    // which only the bench_simjoin binary regenerates. Bench binaries
-    // run with the crate as cwd, so anchor the path at the workspace
-    // root.
-    let out = std::env::var("BENCH_SIMJOIN_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../{}",
-            env!("CARGO_MANIFEST_DIR"),
-            perf::QUICK_REPORT_PATH
-        )
-    });
-    match perf::write_report(&out, perf::SuiteScope::Quick, 3) {
-        Ok(_) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
 }
 
 criterion_group!(benches, simjoin_bench);

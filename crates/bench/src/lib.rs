@@ -6,22 +6,15 @@
 //! rows/series against the calibrated synthetic datasets, printing paper
 //! values next to measured ones. One binary per experiment
 //! (`cargo run --release -p crowder-bench --bin fig12`), plus
-//! `all_experiments` which runs the full battery and is the source of
-//! EXPERIMENTS.md.
+//! `all_experiments`, which runs the full battery in order.
 //!
+//! [`gates`] holds the same-run timing gates (churn, WAL and recorder
+//! overhead ratios); `cargo run --release -p crowder-bench --bin
+//! bench_gates` measures them and exits non-zero on a breach.
 //! Criterion micro-benchmarks of the algorithmic substrates live in
-//! `benches/`; [`perf`] additionally writes the machine-readable
-//! `BENCH_simjoin.json` report (median/min/max per dataset × threshold ×
-//! algorithm × threads) that tracks the simjoin perf trajectory across
-//! PRs — regenerate it with
-//! `cargo run --release -p crowder-bench --bin bench_simjoin`.
+//! `benches/`. End-to-end workloads are measured by the separate
+//! `perfbench/` package.
 
-pub mod baseline;
-pub mod durperf;
 pub mod experiments;
-pub mod faultperf;
+pub mod gates;
 pub mod harness;
-pub mod obsperf;
-pub mod perf;
-pub mod serveperf;
-pub mod streamperf;

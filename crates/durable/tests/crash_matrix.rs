@@ -259,6 +259,57 @@ fn explicit_sync_makes_everything_durable() {
     assert_eq!(recovered.digest(), full);
 }
 
+/// A clean stop after a final sync recovers the pre-stop digest at any
+/// snapshot cadence, replays no more ops than were logged, and a
+/// tighter cadence never replays a longer WAL suffix.
+#[test]
+fn tighter_snapshot_cadence_shortens_the_replayed_suffix() {
+    const CADENCES: [usize; 3] = [8, 20, 1_000_000];
+    let script = make_script(5, 120);
+    for ops in [script.len() / 2, script.len()] {
+        let mut replayed = Vec::new();
+        for snapshot_every_ops in CADENCES {
+            let config = DurabilityConfig {
+                sync_every_ops: 4,
+                snapshot_every_ops,
+            };
+            let dir = MemDir::new();
+            let mut engine = DurableResolver::create(
+                dir.clone(),
+                "crash",
+                vec!["name".into()],
+                PairSpace::SelfJoin,
+                stream_config(),
+                config,
+            )
+            .unwrap();
+            for op in &script[..ops] {
+                engine.apply(op.clone()).unwrap();
+            }
+            engine.sync().unwrap();
+            let expected = engine.digest();
+            drop(engine);
+            let (recovered, report) =
+                DurableResolver::recover(dir, stream_config(), config).unwrap();
+            assert_eq!(recovered.digest(), expected, "cadence {snapshot_every_ops}");
+            assert!(
+                report.replayed <= ops,
+                "cadence {snapshot_every_ops} replayed {} of {ops} ops",
+                report.replayed
+            );
+            replayed.push(report.replayed);
+        }
+        assert!(
+            replayed.windows(2).all(|w| w[0] <= w[1]),
+            "cadences {CADENCES:?} replayed {replayed:?} of {ops} ops"
+        );
+        assert!(
+            replayed[0] < replayed[CADENCES.len() - 1],
+            "snapshots never shortened the replay: {replayed:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

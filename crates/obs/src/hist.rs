@@ -9,8 +9,8 @@
 //! geometric buckets bound percentile error by construction: any value
 //! reported for a rank lies in the same bucket as the true sample at
 //! that rank, so a reported quantile is within a factor of 2 of the
-//! exact one (and within one bucket index — the property the
-//! `BENCH_obs.json` accuracy rows check).
+//! exact one (and within one bucket index — the property
+//! `tests/histogram_props.rs` checks).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

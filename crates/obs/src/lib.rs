@@ -8,8 +8,8 @@
 //! sequence numbers and monotonic timestamps; and two exporters —
 //! Prometheus text format ([`export::prometheus_text`]) and the
 //! workspace's hand-rolled schema-checked JSON writer
-//! ([`export::snapshot_json`], built on [`json`], which the bench
-//! reports share).
+//! ([`export::snapshot_json`], built on [`json`], which the
+//! `perfbench` report writer also uses).
 //!
 //! ## Recorder-installation contract
 //!
@@ -29,7 +29,7 @@
 //!   mutation, one WAL frame, one assignment) put their counter updates
 //!   behind the same [`recording`] check, so an uninstrumented process
 //!   pays one relaxed load per record and nothing else — the bound
-//!   `crowder-bench::obsperf` / `BENCH_obs.json` enforces.
+//!   the `crowder-bench` gate table (`bench_gates`) enforces.
 //!
 //! Binaries that want metrics and traces opt in once at startup:
 //!
@@ -68,11 +68,10 @@
 //! threshold. The leak-free invariant `candidates ==
 //! positional_pruned + space_pruned + signature_rejected +
 //! suffix_pruned + verified` is asserted by the observability example
-//! and the bench validators.
+//! and the join funnel regression tests.
 //!
-//! The [`stats`] module additionally hosts the one shared
-//! percentile/median implementation the bench crates route through
-//! (previously hand-rolled per report module).
+//! The [`stats`] module hosts the exact sorted-sample percentile the
+//! histogram tests compare against.
 
 pub mod export;
 pub mod hist;

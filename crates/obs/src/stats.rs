@@ -1,7 +1,6 @@
-//! Exact (sorted-sample) timing statistics — the single implementation
-//! the bench crates route their medians and percentiles through
-//! (previously copy-pasted per report module), and the oracle the
-//! histogram accuracy tests compare against.
+//! Exact (sorted-sample) percentiles: the oracle the histogram
+//! accuracy tests compare [`crate::HistogramSnapshot::percentile`]
+//! against.
 
 /// The quantile `p` in `[0, 1]` of an ascending-sorted sample, using
 /// nearest-rank on `round((len-1)·p)` — the same rank selection as
@@ -13,44 +12,6 @@ pub fn percentile_sorted(sorted: &[u128], p: f64) -> u128 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
     sorted[idx]
-}
-
-/// Median of an ascending-sorted sample (upper median for even sizes,
-/// matching the bench convention `sorted[len / 2]`). 0 when empty.
-pub fn median_sorted(sorted: &[u128]) -> u128 {
-    if sorted.is_empty() {
-        0
-    } else {
-        sorted[sorted.len() / 2]
-    }
-}
-
-/// Sort a sample in place and return `(median, min, max)` — the
-/// summary every bench report row carries. `(0, 0, 0)` when empty.
-pub fn summarize(samples: &mut [u128]) -> (u128, u128, u128) {
-    if samples.is_empty() {
-        return (0, 0, 0);
-    }
-    samples.sort_unstable();
-    (
-        median_sorted(samples),
-        samples[0],
-        samples[samples.len() - 1],
-    )
-}
-
-/// Render nanoseconds human-readably (`812 ns`, `3.20 us`, `1.45 ms`,
-/// `2.01 s`).
-pub fn format_ns(ns: u128) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} us", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -65,21 +26,5 @@ mod tests {
         assert_eq!(percentile_sorted(&s, 0.99), 99);
         assert_eq!(percentile_sorted(&s, 1.0), 100);
         assert_eq!(percentile_sorted(&[], 0.5), 0);
-        assert_eq!(median_sorted(&s), 51);
-    }
-
-    #[test]
-    fn summarize_sorts_and_summarizes() {
-        let mut s = vec![5u128, 1, 9, 3];
-        assert_eq!(summarize(&mut s), (5, 1, 9));
-        assert_eq!(summarize(&mut []), (0, 0, 0));
-    }
-
-    #[test]
-    fn format_ns_picks_sane_units() {
-        assert_eq!(format_ns(812), "812 ns");
-        assert_eq!(format_ns(3_200), "3.20 us");
-        assert_eq!(format_ns(1_450_000), "1.45 ms");
-        assert_eq!(format_ns(2_010_000_000), "2.01 s");
     }
 }

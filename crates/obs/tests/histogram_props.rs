@@ -127,3 +127,30 @@ fn concurrent_recording_loses_nothing() {
     assert_eq!(snap.min, expect.min);
     assert_eq!(snap.max, expect.max);
 }
+
+/// Fixed distributions — a uniform ramp, repeated doublings across 21
+/// buckets, and a quadratic heavy tail — whose p50 and p99 estimates
+/// must land within one log2 bucket of the sorted-sample oracle.
+#[test]
+fn histogram_percentiles_stay_within_one_bucket_of_the_oracle() {
+    let distributions: [(&str, Vec<u64>); 3] = [
+        ("uniform-ramp", (1..=10_000u64).collect()),
+        ("doubling", (0..4096u64).map(|i| 1u64 << (i % 21)).collect()),
+        ("heavy-tail", (1..=3_000u64).map(|i| i * i).collect()),
+    ];
+    for (label, values) in distributions {
+        let snap = hist_of(label, &values);
+        let mut sorted: Vec<u128> = values.iter().map(|&v| v as u128).collect();
+        sorted.sort_unstable();
+        for p in [0.50, 0.99] {
+            let exact = percentile_sorted(&sorted, p) as u64;
+            let estimated = snap.percentile(p);
+            let delta = bucket_index(estimated).abs_diff(bucket_index(exact));
+            assert!(
+                delta <= 1,
+                "{label} p{}: exact {exact} estimated {estimated} ({delta} buckets apart)",
+                p * 100.0
+            );
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! Funnel regression for the delta index's probe pipeline.
+//! Funnel regression for both join engines' probe pipeline.
 //!
 //! PR 7 replaced the per-candidate length comparison with the binary-
 //! searched skip over length-bucketed posting lists (out-of-window
@@ -8,8 +8,10 @@
 //! the positional filter are never surfaced), and a 256-bit band-
 //! signature reject between the space and suffix filters.
 //!
-//! The pins below are measured on the deterministic Product corpus.
-//! History of the candidate stage at t = 0.3:
+//! The pins below are measured on the deterministic Restaurant and
+//! Product corpora, for the streaming `IncrementalResolver` and for the
+//! batch `prefix_join_with_stats`. History of the stream's candidate
+//! stage on Product at t = 0.3:
 //!
 //! * pre-PR-7 per-candidate length check: 411,175 candidates counted
 //!   (out-of-window enumerations included);
@@ -19,10 +21,32 @@
 //!   truncation kill ~25x of the old candidate stage before any
 //!   per-pair work, with the result set bit-identical (1,425 pairs).
 
-use crowder_datagen::{product, ProductConfig};
-use crowder_simjoin::JoinStats;
+use crowder_datagen::{product, restaurant, ProductConfig, RestaurantConfig};
+use crowder_simjoin::{
+    all_pairs_scored, prefix_join, prefix_join_with_stats, token_blocking_pairs, JoinStats,
+    TokenTable,
+};
 use crowder_stream::{IncrementalResolver, StreamConfig};
-use crowder_types::{PairSpace, SourceId};
+use crowder_types::{Dataset, Pair, PairSpace, ScoredPair, SourceId};
+
+/// The adaptive tier must keep the Product t = 0.3 candidate stage at
+/// least ~3x below the ~200k (batch) / 411k (stream) the plain prefix
+/// filter admitted. A hard ceiling rather than an exact pin so
+/// estimator retuning has headroom without losing the gate.
+const PRODUCT_T03_CANDIDATE_CEILING: u64 = 65_000;
+
+/// Every candidate lands in exactly one downstream bucket.
+fn assert_leak_free(stats: &JoinStats, what: &str) {
+    assert_eq!(
+        stats.candidates,
+        stats.positional_pruned
+            + stats.space_pruned
+            + stats.signature_rejected
+            + stats.suffix_pruned
+            + stats.verified,
+        "{what}: funnel leaks"
+    );
+}
 
 /// Stream the full Product corpus at `threshold`, returning the
 /// cumulative probe funnel and the final pair count.
@@ -46,7 +70,7 @@ fn stream_product(threshold: f64) -> (JoinStats, usize) {
     (stats, pairs)
 }
 
-/// t = 0.3 — the `BENCH_stream.json` configuration, pinned exactly:
+/// t = 0.3 — the streaming gate configuration, pinned exactly:
 /// every funnel bucket is deterministic on the generated corpus, so any
 /// drift in the adaptive level choice, the truncation cutoffs, or the
 /// signature check shows up here before it shows up as a perf
@@ -61,20 +85,17 @@ fn product_funnel_is_pinned_at_the_bench_threshold() {
     assert_eq!(stats.signature_rejected, 4_314, "signature stage diverged");
     assert_eq!(stats.suffix_pruned, 129, "suffix stage diverged");
     assert_eq!(stats.verified, 1_436, "verify stage diverged");
+    assert_leak_free(&stats, "stream product t=0.3");
     assert_eq!(pairs, 1_425, "result set diverged");
 }
 
-/// The headline regression gate, mirrored from the `BENCH_simjoin.json`
-/// validator: the adaptive tier must keep the t = 0.3 candidate stage
-/// at least ~3x below the ~200k/411k the plain prefix filter admitted
-/// (batch/stream respectively). A hard ceiling rather than an exact pin
-/// so estimator retuning has headroom without losing the gate.
+/// The stream side of the [`PRODUCT_T03_CANDIDATE_CEILING`] gate.
 #[test]
 fn product_candidates_stay_under_the_enforced_ceiling() {
     let (stats, pairs) = stream_product(0.3);
     assert!(
-        stats.candidates <= 65_000,
-        "adaptive tier regressed: {} candidates > 65k ceiling",
+        stats.candidates <= PRODUCT_T03_CANDIDATE_CEILING,
+        "adaptive tier regressed: {} candidates > {PRODUCT_T03_CANDIDATE_CEILING} ceiling",
         stats.candidates
     );
     assert_eq!(pairs, 1_425, "result set diverged");
@@ -96,7 +117,99 @@ fn tight_threshold_funnel_is_pinned() {
     assert_eq!(stats.candidates, 3_725, "candidate stage diverged");
     assert_eq!(stats.signature_rejected, 961, "signature stage diverged");
     assert_eq!(stats.verified, 94, "verify stage diverged");
+    assert_leak_free(&stats, "stream product t=0.6");
     assert_eq!(pairs, 88, "result set diverged");
+}
+
+fn batch_funnel(dataset: &Dataset, threshold: f64) -> JoinStats {
+    let tokens = TokenTable::build(dataset);
+    prefix_join_with_stats(dataset, &tokens, threshold, 0).1
+}
+
+/// The batch `prefix_join_with_stats` funnel on both corpora at the
+/// three gated thresholds, pinned exactly: candidates, then the
+/// positional, space, signature and suffix rejects, then verified and
+/// results. Restaurant t = 0.7 admits more candidates than t = 0.5 —
+/// the adaptive level stays low at high thresholds and the signature
+/// stage rejects nearly all of them.
+#[test]
+fn batch_funnels_are_pinned() {
+    const PINS: [(&str, f64, [u64; 7]); 6] = [
+        ("restaurant", 0.3, [4_131, 415, 0, 2_694, 172, 850, 850]),
+        ("restaurant", 0.5, [435, 52, 0, 290, 0, 93, 93]),
+        ("restaurant", 0.7, [2_696, 165, 0, 2_473, 0, 58, 58]),
+        ("product", 0.3, [6_513, 199, 3_332, 1_452, 99, 1_431, 1_425]),
+        ("product", 0.5, [2_292, 265, 1_078, 634, 6, 309, 302]),
+        ("product", 0.7, [768, 187, 198, 376, 1, 6, 5]),
+    ];
+    let restaurant = restaurant(&RestaurantConfig::default());
+    let product = product(&ProductConfig::default());
+    for (corpus, threshold, pin) in PINS {
+        let dataset = if corpus == "product" {
+            &product
+        } else {
+            &restaurant
+        };
+        let s = batch_funnel(dataset, threshold);
+        let what = format!("batch {corpus} t={threshold}");
+        assert_leak_free(&s, &what);
+        let got = [
+            s.candidates,
+            s.positional_pruned,
+            s.space_pruned,
+            s.signature_rejected,
+            s.suffix_pruned,
+            s.verified,
+            s.results,
+        ];
+        assert_eq!(got, pin, "{what}: funnel diverged");
+    }
+}
+
+/// The batch side of the [`PRODUCT_T03_CANDIDATE_CEILING`] gate.
+#[test]
+fn batch_product_candidates_stay_under_the_enforced_ceiling() {
+    let stats = batch_funnel(&product(&ProductConfig::default()), 0.3);
+    assert!(
+        stats.candidates <= PRODUCT_T03_CANDIDATE_CEILING,
+        "adaptive tier regressed: {} candidates > {PRODUCT_T03_CANDIDATE_CEILING} ceiling",
+        stats.candidates
+    );
+}
+
+/// Every batch machine pass returns the same pairs on Restaurant:
+/// `prefix_join` single-threaded and at the available parallelism,
+/// the exhaustive `all_pairs_scored` both ways, and token blocking.
+#[test]
+fn batch_join_paths_agree() {
+    let dataset = restaurant(&RestaurantConfig::default());
+    let tokens = TokenTable::build(&dataset);
+    let pairs = |v: Vec<ScoredPair>| v.into_iter().map(|sp| sp.pair).collect::<Vec<Pair>>();
+    for threshold in [0.3, 0.5, 0.7] {
+        let reference = pairs(prefix_join(&dataset, &tokens, threshold, 1));
+        assert!(!reference.is_empty(), "t={threshold}: nothing joined");
+        let others = [
+            (
+                "prefix_join threads=0",
+                prefix_join(&dataset, &tokens, threshold, 0),
+            ),
+            (
+                "all_pairs threads=1",
+                all_pairs_scored(&dataset, &tokens, threshold, 1),
+            ),
+            (
+                "all_pairs threads=0",
+                all_pairs_scored(&dataset, &tokens, threshold, 0),
+            ),
+            (
+                "token_blocking",
+                token_blocking_pairs(&dataset, &tokens, threshold, 0, 1),
+            ),
+        ];
+        for (what, got) in others {
+            assert_eq!(pairs(got), reference, "t={threshold}: {what} disagrees");
+        }
+    }
 }
 
 /// Degenerate thresholds through the adaptive paths: t > 1 joins
@@ -146,13 +259,5 @@ fn degenerate_thresholds_and_tiny_records_survive() {
     // The filtered path with 1-token and empty records in the mix:
     // "a"≡"a", "a b c d"≡"a b c d", "a b c d"~"a b c e" (x2).
     assert_eq!(pairs, 4, "filtered path");
-    assert_eq!(
-        stats.candidates,
-        stats.positional_pruned
-            + stats.space_pruned
-            + stats.signature_rejected
-            + stats.suffix_pruned
-            + stats.verified,
-        "funnel leaks"
-    );
+    assert_leak_free(&stats, "tiny records t=0.5");
 }

@@ -33,8 +33,14 @@ const BATCH: usize = 128;
 /// mutability must stay within 10× of append-only ingest.
 const MAX_CHURN_RATIO: f64 = 10.0;
 
-/// Paused/installed stream pairs the recorder rows take the minimum of.
+/// Samples the installed-recorder row takes the median of.
 const OBS_ITERS: usize = 5;
+
+/// Shortest time each side of a recorder-row sample runs, in
+/// nanoseconds. One Restaurant pass takes about 10 ms, short enough that
+/// one fast or slow stretch of a shared host moved a one-pass ratio past
+/// the 1.05 bound about one run in three to eight.
+const MIN_SAMPLE_NS: u128 = 100_000_000;
 
 /// One row of the gate table: a same-run ratio and the bound it must
 /// not exceed.
@@ -330,42 +336,50 @@ fn wal_overhead(dataset: &Dataset) -> f64 {
     wal_ns as f64 / mem_ns.max(1) as f64
 }
 
-/// The recorder rows: (fastest installed pass ÷ fastest paused pass,
-/// always-live instrument cost of one pass ÷ fastest paused pass).
+/// The recorder rows: (median over samples of installed ÷ paused time,
+/// always-live instrument cost of one pass ÷ the fastest paused pass).
 ///
-/// The passes are sampled interleaved, alternating which side runs
-/// first, so clock and cache drift hit both sides alike; the minimum is
-/// the least noisy estimator of a ratio on a shared machine. The
-/// always-live instruments (counters, histograms) tick
-/// [`crowder_obs::ops_recorded`], so the op count of one paused pass
-/// times the microbenched cost of one op bounds their share. Leaves the
-/// recorder paused.
+/// A sample alternates paused and installed [`stream_once`] passes,
+/// flipping which side runs first, until each side has run long enough
+/// to span [`MIN_SAMPLE_NS`]. Both sides of a sample therefore see the
+/// same stretch of the host's speed, which on a shared machine drifts
+/// by a quarter over a few hundred milliseconds; the median over
+/// samples discards a sample that still caught a spike. The always-live
+/// instruments (counters, histograms) tick [`crowder_obs::ops_recorded`],
+/// so the op count of one paused pass times the microbenched cost of one
+/// op bounds their share. Leaves the recorder paused.
 fn obs_overheads(dataset: &Dataset) -> (f64, f64) {
     crowder_obs::pause_recorder();
     // Warm-up (fills caches, faults in the corpus) and op census.
     let ops_before = crowder_obs::ops_recorded();
-    stream_once(dataset);
+    let warm_ns = stream_once(dataset);
     let ops_per_run = crowder_obs::ops_recorded() - ops_before;
+    let passes = (MIN_SAMPLE_NS / warm_ns.max(1) + 1) as usize;
 
-    let mut paused_ns = u128::MAX;
-    let mut installed_ns = u128::MAX;
+    let mut ratios = Vec::with_capacity(OBS_ITERS);
+    let mut fastest_paused = u128::MAX;
     for i in 0..OBS_ITERS {
-        for installed in [i % 2 == 1, i % 2 == 0] {
-            if installed {
-                crowder_obs::install_recorder();
-                installed_ns = installed_ns.min(stream_once(dataset));
-            } else {
-                crowder_obs::pause_recorder();
-                paused_ns = paused_ns.min(stream_once(dataset));
+        let (mut paused_ns, mut installed_ns) = (0u128, 0u128);
+        for j in 0..passes {
+            for installed in [(i + j) % 2 == 1, (i + j) % 2 == 0] {
+                if installed {
+                    crowder_obs::install_recorder();
+                    installed_ns += stream_once(dataset);
+                } else {
+                    crowder_obs::pause_recorder();
+                    let ns = stream_once(dataset);
+                    paused_ns += ns;
+                    fastest_paused = fastest_paused.min(ns);
+                }
             }
         }
+        ratios.push(installed_ns as f64 / paused_ns.max(1) as f64);
     }
     crowder_obs::pause_recorder();
-
-    let paused = paused_ns.max(1) as f64;
+    ratios.sort_by(f64::total_cmp);
     (
-        installed_ns as f64 / paused,
-        disabled_op_cost_ns() * ops_per_run as f64 / paused,
+        ratios[OBS_ITERS / 2],
+        disabled_op_cost_ns() * ops_per_run as f64 / fastest_paused.max(1) as f64,
     )
 }
 
@@ -404,11 +418,13 @@ mod tests {
         d
     }
 
+    /// A smoke test of the churn row's workload on 40 records in the
+    /// test profile: it runs, its ratio is under the bound and it splits
+    /// clusters. At this size and build the ratio is mostly fixed costs,
+    /// so it cannot catch a churn slowdown; `bench_gates` is the timing
+    /// gate.
     #[test]
-    fn churn_stays_within_the_acceptance_bound() {
-        // The tiny corpus is the worst case for the ratio (fixed costs
-        // dominate); even here full mutability must stay within 10x of
-        // append-only ingest, and the workload must split clusters.
+    fn churn_workload_runs_under_the_bound_and_splits_clusters() {
         let (ratio, splits) = churn_ratio(&tiny_dataset());
         assert!(
             ratio <= MAX_CHURN_RATIO,

@@ -22,8 +22,9 @@ pub const SNAP_MAGIC: &[u8; 4] = b"CSNP";
 /// Snapshot format version. v2 added the `signature_rejected` funnel
 /// bucket to the cumulative join stats; v3 dropped the derived fields
 /// (cluster edges, per-cluster to-verify lists, removal count), which
-/// import now recomputes.
-pub const SNAP_VERSION: u32 = 3;
+/// import now recomputes; v4 added each cluster's HIT baseline (its
+/// HIT count right after its last full HIT generation).
+pub const SNAP_VERSION: u32 = 4;
 
 /// Blob name for the snapshot at `seq`.
 pub fn snap_name(seq: u64) -> String {
@@ -134,8 +135,9 @@ fn enc_state(e: &mut Enc, state: &ResolverState) {
         }
     }
     e.u32(state.hit_roots.len() as u32);
-    for (root, ids) in &state.hit_roots {
+    for (root, baseline, ids) in &state.hit_roots {
         e.usize(*root);
+        e.u64(*baseline);
         e.u32(ids.len() as u32);
         for &id in ids {
             e.u64(id);
@@ -213,10 +215,11 @@ fn dec_state(d: &mut Dec) -> Result<ResolverState> {
         hits.push((id, hit));
     }
     let mut hit_roots = Vec::new();
-    for _ in 0..d.seq_len(12)? {
+    for _ in 0..d.seq_len(20)? {
         let root = d.usize()?;
+        let baseline = d.u64()?;
         let ids = (0..d.seq_len(8)?).map(|_| d.u64()).collect::<Result<_>>()?;
-        hit_roots.push((root, ids));
+        hit_roots.push((root, baseline, ids));
     }
     Ok(ResolverState {
         name,

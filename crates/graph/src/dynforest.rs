@@ -13,14 +13,17 @@
 //!   by relabelling the smaller member list (small-to-large: every
 //!   vertex is relabelled `O(log n)` times across any merge sequence);
 //! * [`remove_edge`](DynamicConnectivity::remove_edge) deletes the edge
-//!   and, when it was a bridge, discovers the split with a BFS bounded
-//!   by the component and relabels the side that lost the old label.
+//!   and searches from both endpoints in lockstep until the searches
+//!   meet (no split) or one side runs dry (a split, and that side is
+//!   the detached part), so the search costs about twice the smaller
+//!   side; it then relabels the side that lost the old label.
 //!
-//! ER components are small (the pair graph is sparse by construction —
-//! the machine pass prunes aggressively), so the per-split BFS is far
-//! cheaper than maintaining an Euler-tour or HDT forest, and unlike
-//! those structures the adjacency sets double as the evidence graph's
-//! edge set.
+//! Most ER components are small (the pair graph is sparse by
+//! construction — the machine pass prunes aggressively), and a cut off a
+//! giant component usually detaches a small piece, so the lockstep
+//! search is far cheaper than maintaining an Euler-tour or HDT forest,
+//! and unlike those structures the adjacency sets double as the
+//! evidence graph's edge set.
 //!
 //! **Label invariant**: a component's label is always the id of one of
 //! its member vertices, and a vertex id labels at most one component.
@@ -28,7 +31,7 @@
 //! never see two distinct components under the same key.
 
 use crowder_types::{Error, Result};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// What [`DynamicConnectivity::add_edge`] did to the component
 /// structure.
@@ -80,6 +83,12 @@ pub struct DynamicConnectivity {
     members: HashMap<u32, Vec<u32>>,
     edges: usize,
     components: usize,
+    /// Split-search scratch: the stamp of the last search that visited
+    /// each vertex (0 = never), the last stamp used, and one BFS queue
+    /// per endpoint.
+    mark: Vec<u32>,
+    stamp: u32,
+    queues: [Vec<u32>; 2],
 }
 
 impl DynamicConnectivity {
@@ -140,6 +149,8 @@ impl DynamicConnectivity {
             members,
             edges,
             components,
+            mark: vec![0; n],
+            ..DynamicConnectivity::default()
         })
     }
 
@@ -155,6 +166,7 @@ impl DynamicConnectivity {
         let id = self.adj.len();
         self.adj.push(HashSet::new());
         self.comp.push(id as u32);
+        self.mark.push(0);
         self.members.insert(id as u32, vec![id as u32]);
         self.components += 1;
         id
@@ -271,6 +283,13 @@ impl DynamicConnectivity {
 
     /// Remove the undirected edge `(a, b)`, reporting a split if it was
     /// a bridge.
+    ///
+    /// Searches from both endpoints in lockstep, one vertex per side per
+    /// step, and stops as soon as the sides meet (not a bridge) or one
+    /// side runs out of vertices (a bridge, and that side is the
+    /// detached part). Either way the search visits at most about twice
+    /// the smaller side, so cutting a leaf off a giant component costs
+    /// the leaf, not the component.
     pub fn remove_edge(&mut self, a: usize, b: usize) -> EdgeCut {
         if !self.adj[a].remove(&(b as u32)) {
             return EdgeCut::Missing;
@@ -278,36 +297,29 @@ impl DynamicConnectivity {
         self.adj[b].remove(&(a as u32));
         self.edges -= 1;
         let old = self.comp[a];
-        // BFS from `a`; meeting `b` proves the edge was not a bridge.
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        seen.insert(a as u32);
-        queue.push_back(a as u32);
-        while let Some(v) = queue.pop_front() {
-            if v as usize == b {
-                return EdgeCut::Kept;
-            }
-            for &u in &self.adj[v as usize] {
-                if seen.insert(u) {
-                    queue.push_back(u);
-                }
-            }
-        }
-        // Bridge: `seen` is a's side, the rest of the old component is
-        // b's side. The side holding the label vertex keeps the label;
-        // the other side is relabelled after its endpoint (a member of
-        // that side, hence a valid fresh label — see the module-level
-        // label invariant).
-        let (a_side, b_side): (Vec<u32>, Vec<u32>) = self
+        let Some(small) = self.lockstep_search(a as u32, b as u32) else {
+            return EdgeCut::Kept;
+        };
+        // Bridge: the exhausted side's vertices carry stamp `small`, the
+        // rest of the old component is the other side. The side holding
+        // the label vertex keeps the label; the other side is relabelled
+        // after its endpoint (a member of that side, hence a valid fresh
+        // label — see the module-level label invariant).
+        let (small_end, large_end) = if self.mark[a] == small {
+            (a as u32, b as u32)
+        } else {
+            (b as u32, a as u32)
+        };
+        let (small_side, large_side): (Vec<u32>, Vec<u32>) = self
             .members
             .remove(&old)
             .expect("label has members")
             .into_iter()
-            .partition(|v| seen.contains(v));
-        let (kept_side, new_label, moved) = if seen.contains(&old) {
-            (a_side, b as u32, b_side)
+            .partition(|&v| self.mark[v as usize] == small);
+        let (kept_side, new_label, moved) = if self.mark[old as usize] == small {
+            (small_side, large_end, large_side)
         } else {
-            (b_side, a as u32, a_side)
+            (large_side, small_end, small_side)
         };
         for &v in &moved {
             self.comp[v as usize] = new_label;
@@ -320,12 +332,55 @@ impl DynamicConnectivity {
             split_off: new_label as usize,
         }
     }
+
+    /// Breadth-first search from `a` and from `b` in lockstep over the
+    /// current edges, one vertex per side per step. Returns `None` if
+    /// the two searches meet, else the stamp marking the side that ran
+    /// out of vertices (every vertex of that side carries it in
+    /// `mark`).
+    fn lockstep_search(&mut self, a: u32, b: u32) -> Option<u32> {
+        if self.stamp > u32::MAX - 2 {
+            self.mark.fill(0);
+            self.stamp = 0;
+        }
+        let (sa, sb) = (self.stamp + 1, self.stamp + 2);
+        self.stamp = sb;
+        self.mark[a as usize] = sa;
+        self.mark[b as usize] = sb;
+        let mut queues = std::mem::take(&mut self.queues);
+        for (queue, start) in queues.iter_mut().zip([a, b]) {
+            queue.clear();
+            queue.push(start);
+        }
+        let mut heads = [0usize; 2];
+        let found = 'search: loop {
+            for (side, (own, other)) in [(sa, sb), (sb, sa)].into_iter().enumerate() {
+                let Some(&v) = queues[side].get(heads[side]) else {
+                    break 'search Some(own);
+                };
+                heads[side] += 1;
+                for &u in &self.adj[v as usize] {
+                    let m = self.mark[u as usize];
+                    if m == other {
+                        break 'search None;
+                    }
+                    if m != own {
+                        self.mark[u as usize] = own;
+                        queues[side].push(u);
+                    }
+                }
+            }
+        };
+        self.queues = queues;
+        found
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn add_and_remove_round_trip() {

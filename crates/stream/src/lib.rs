@@ -53,16 +53,22 @@
 //!   just grow. The mutation API is `insert` / `remove` / `retract` /
 //!   `record_evidence`; see the [`resolver`] module docs for the exact
 //!   edge-state rule and the per-mutation reports. The pairs awaiting
-//!   crowd verification are one set, not per-cluster lists: a cluster's
-//!   share is read off its members' edges when its HITs regenerate.
-//! * [`LiveHits`] — live HIT regeneration: dirty clusters re-enter the
-//!   paper's two-tiered generator (§5, Algorithms 1–2 + the
-//!   cutting-stock packing of §5.3) while untouched clusters keep their
-//!   published HITs under stable [`HitId`]s. Splits retire the old
-//!   cluster's HITs and publish fresh ones for each side; a cluster that
-//!   loses its last to-verify pair just has its HITs withdrawn.
+//!   crowd verification are one set, not per-cluster lists; the pairs
+//!   listed since the last flush are one queue the flush drains.
+//! * [`LiveHits`] — the published HIT set, repaired per flush: a HIT of
+//!   a dirty cluster keeps its [`HitId`] and content while its records
+//!   are alive, share one cluster and include a listed pair; the rest
+//!   retire, and the paper's two-tiered generator (§5, Algorithms 1–2 +
+//!   the cutting-stock packing of §5.3) runs per cluster only over the
+//!   newly listed pairs and the ones a retired HIT leaves uncovered. A
+//!   split retires only the HITs spanning the cut; a merge keeps both
+//!   sides' HITs. An answer that leaves a pair unsettled publishes it
+//!   again. A cluster of more than `k` records whose live HITs pass 1.5
+//!   times its count after its last full generation is regenerated in
+//!   full.
 //! * [`ResolverState`] — the snapshot form: history only (corpus,
-//!   dictionary, pair order, tallies, cluster labels, HIT books).
+//!   dictionary, pair order, tallies, cluster labels, HIT books and
+//!   their baselines).
 //!   Cluster edges, the to-verify set and the removal count are
 //!   re-derived on import.
 //!

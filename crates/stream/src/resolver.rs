@@ -11,7 +11,7 @@
 //!   deletion): its index postings are skipped from now on, every pair
 //!   touching it is dropped from the pair set, its evidence is purged,
 //!   and each of its cluster edges is cut — clusters *shrink or split*
-//!   and are marked dirty so the next flush retires their HITs.
+//!   and are marked dirty so the next flush re-checks their HITs.
 //! * [`IncrementalResolver::retract`] — forget all crowd evidence for
 //!   one pair. If the evidence was what committed the edge, the edge
 //!   decommits and the clustering reverts to its pre-edge shape.
@@ -34,15 +34,31 @@
 //! records are alive, and it is neither vetoed nor committed — the
 //! crowd has answered those, so republishing them would only re-ask.
 //! A decommit re-lists the pair for re-verification. Every listed pair
-//! has an active edge, so its endpoints always share a cluster, and a
-//! cluster's to-verify pairs are exactly the listed pairs among its
-//! members' edges — a view, not stored state.
+//! has an active edge, so its endpoints always share a cluster.
+//!
+//! ## HIT flushes
+//!
+//! [`IncrementalResolver::regenerate_hits`] repairs the published HIT
+//! set rather than replacing it. It looks only at the HITs of clusters
+//! marked dirty since the last flush. A HIT is **kept** (same id, same
+//! content) while its records are alive, share one cluster and include
+//! a listed pair; a kept HIT on the detached side of a split is
+//! re-filed under that side. Every other HIT of a dirty cluster is
+//! **retired**. The two-tiered generator then runs per cluster over the
+//! pairs listed since the last flush — new pairs, re-listed pairs, and
+//! pairs whose new evidence left them unsettled — and the listed pairs
+//! that only a retired HIT covered; never over a whole cluster, unless a
+//! cluster of more than `k` records holds over 1.5 times as many HITs
+//! as after its last full generation, in which case it is regenerated
+//! in full. After every flush each listed pair is covered by a live
+//! HIT.
 
 use crowder_graph::{DynamicConnectivity, EdgeCut, EdgeLink};
-use crowder_hitgen::{ClusterGenerator, TwoTieredConfig, TwoTieredGenerator};
+use crowder_hitgen::{ClusterGenerator, Hit, TwoTieredConfig, TwoTieredGenerator};
 use crowder_simjoin::JoinStats;
 use crowder_text::tokenize;
 use crowder_types::{Dataset, Error, Pair, PairSpace, RecordId, ScoredPair, SourceId};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::delta::DeltaIndex;
@@ -50,6 +66,16 @@ use crate::dict::{StreamingDict, FRESH_SPAN};
 use crate::evidence::{valid_weight, EvidenceConfig, EvidenceLedger, EvidenceShift, Tally};
 use crate::live::{HitId, LiveHits};
 use crate::state::ResolverState;
+
+/// A flush regenerates a dirty cluster of more than `k` records in full
+/// once its repaired HIT set would exceed this multiple of the
+/// cluster's baseline, its HIT count right after its last full
+/// generation. On the `contract_fixture` op script the live set ends at
+/// 1.80× a fresh generation without the fallback and at 1.19× with it.
+/// A cluster of at most `k` records is exempt: a fresh generation gives
+/// it one HIT, and its extra HITs are fresh work for pairs an answer
+/// left unsettled.
+const MAX_DRIFT: f64 = 1.5;
 
 /// Tuning of the incremental resolver.
 #[derive(Debug, Clone)]
@@ -157,14 +183,17 @@ pub struct EvidenceReport {
     pub split: bool,
 }
 
-/// Outcome of one HIT regeneration flush.
+/// Outcome of one HIT flush ([`IncrementalResolver::regenerate_hits`]):
+/// which HITs it retired and published. Every other live HIT — kept by
+/// the repair or never looked at — keeps its id and content.
 #[derive(Debug, Clone)]
 pub struct HitDelta {
-    /// Ids retired by this flush (their HITs are withdrawn).
+    /// Ids retired by this flush (their HITs are withdrawn), in filing
+    /// order of the dirty clusters taken by ascending label.
     pub retired: Vec<HitId>,
-    /// Ids newly published by this flush.
+    /// Ids newly published by this flush, in ascending id order.
     pub created: Vec<HitId>,
-    /// Live HITs the flush did not touch (stable ids, stable content).
+    /// Live HITs that survived the flush (stable ids, stable content).
     pub stable: usize,
 }
 
@@ -202,6 +231,11 @@ pub struct IncrementalResolver {
     /// Pairs awaiting crowd verification (see module docs for the
     /// listing rule).
     listed: HashSet<Pair>,
+    /// Pairs to publish at the next flush, in order: newly listed ones
+    /// and listed ones whose new evidence left them unsettled (a pair
+    /// can appear twice; the flush drops the ones no longer listed and
+    /// the repeats).
+    fresh: Vec<Pair>,
     /// Component labels whose clusters changed since the last flush.
     dirty: BTreeSet<usize>,
     live: LiveHits,
@@ -230,6 +264,7 @@ impl IncrementalResolver {
             cumulative: JoinStats::default(),
             conn: DynamicConnectivity::new(0),
             listed: HashSet::new(),
+            fresh: Vec::new(),
             dirty: BTreeSet::new(),
             live: LiveHits::new(),
             generator,
@@ -376,17 +411,19 @@ impl IncrementalResolver {
         }
         self.index.remove(record);
 
-        // Every pair with machine support or crowd evidence goes.
-        let mut touching: BTreeSet<Pair> = self
-            .machine
-            .iter()
-            .filter(|p| p.contains(record))
-            .copied()
-            .collect();
-        let dropped_pairs = touching.len();
+        // Every pair with machine support or crowd evidence goes. A
+        // machine pair of a live record is a cluster edge unless it is
+        // vetoed, and a vetoed pair has evidence, so the record's edges
+        // and its evidence pairs hold every machine pair touching it.
         let evidence_pairs = self.ledger.pairs_touching(record);
         let purged_evidence = evidence_pairs.len();
-        touching.extend(evidence_pairs);
+        let touching: BTreeSet<Pair> = self
+            .conn
+            .neighbors(record.index())
+            .map(|u| Pair::of(record.0, u as u32))
+            .chain(evidence_pairs)
+            .collect();
+        let dropped_pairs = touching.iter().filter(|p| self.machine.contains(p)).count();
 
         let mut splits = 0usize;
         for pair in touching {
@@ -539,8 +576,10 @@ impl IncrementalResolver {
         {
             return EvidenceReport::default();
         }
+        let was_listed = self.listed.contains(&pair);
         let shift = self.ledger.record(pair, verdict, weight);
         let cluster = self.sync_pair(pair);
+        self.ask_again_if_unsettled(pair, was_listed);
         let report = EvidenceReport {
             committed: shift == EvidenceShift::Committed,
             decommitted: shift == EvidenceShift::Decommitted,
@@ -559,8 +598,11 @@ impl IncrementalResolver {
     /// the machine-only state for that pair.
     pub fn retract(&mut self, pair: Pair) -> EvidenceReport {
         let _timer = crowder_obs::span_light!("stream.resolver.retract_ns");
+        let had_evidence = self.ledger.tally(&pair).is_some();
+        let was_listed = self.listed.contains(&pair);
         let shift = self.ledger.purge(&pair);
         let cluster = self.sync_pair(pair);
+        self.ask_again_if_unsettled(pair, had_evidence && was_listed);
         let report = EvidenceReport {
             committed: false,
             decommitted: shift == EvidenceShift::Decommitted,
@@ -658,12 +700,24 @@ impl IncrementalResolver {
         }
 
         // 3. List: the pair's cluster, merged in step 2 if need be,
-        //    gains a to-verify pair.
+        //    gains a to-verify pair, which the next flush publishes.
         if !self.listed.contains(&pair) && self.listed_desired(&pair) {
             self.listed.insert(pair);
+            self.fresh.push(pair);
             self.dirty.insert(self.conn.root(a));
         }
         shift
+    }
+
+    /// Evidence for a `pair` that `was_listed` changed and left it
+    /// listed: the answers did not settle it, so the next flush
+    /// publishes fresh work for it (a kept HIT covering it has already
+    /// been answered).
+    fn ask_again_if_unsettled(&mut self, pair: Pair, was_listed: bool) {
+        if was_listed && self.listed.contains(&pair) {
+            self.fresh.push(pair);
+            self.dirty.insert(self.conn.root(pair.lo().index()));
+        }
     }
 
     /// Rebuild the rank order and index once enough arrivals accumulate
@@ -698,36 +752,110 @@ impl IncrementalResolver {
         self.index.compact();
     }
 
-    /// Rebuild the HITs of every dirty cluster through the two-tiered
-    /// generator, leaving untouched clusters' HITs (ids and content)
-    /// alone. A cluster's to-verify pairs are the listed pairs among
-    /// its members' edges; the generator's output depends only on that
-    /// set, not its order. A dirty cluster that lost all its to-verify
-    /// pairs (its records were deleted or its edges decommitted) simply
-    /// has its HITs retired. Clears the dirty set.
+    /// Repair the live HIT set after the mutations since the last
+    /// flush. Only HITs filed under a dirty cluster are looked at; every
+    /// other cluster's HITs (ids and content) are untouched.
+    ///
+    /// * **Keep.** A HIT stays published, same id and content, while its
+    ///   records are alive, share one cluster and include at least one
+    ///   listed pair. A kept HIT that now sits in another cluster (the
+    ///   detached side of a split) is re-filed under that cluster.
+    /// * **Retire** every other HIT of a dirty cluster.
+    /// * **Publish** fresh HITs, through the two-tiered generator run
+    ///   per cluster, over the pairs listed since the last flush (so a
+    ///   re-listed pair, or one that new evidence left unsettled, is
+    ///   asked again) plus the listed pairs that a retired HIT covered
+    ///   and no kept HIT does.
+    /// * **Regenerate in full** a dirty cluster of more than `k` records
+    ///   whose live HITs would exceed 1.5 times its baseline (its count
+    ///   right after its last full generation, see [`LiveHits`]): all
+    ///   its HITs retire and the generator runs over all its listed
+    ///   pairs.
+    ///
+    /// Every listed pair is therefore covered by a live HIT after each
+    /// flush. The result depends only on the resolver state and the
+    /// mutations since the last flush, never on hash order. On a
+    /// generator error (an invalid `k`) nothing changes. Clears the
+    /// dirty set.
     pub fn regenerate_hits(&mut self) -> crowder_types::Result<HitDelta> {
         let _timer = crowder_obs::span!("stream.resolver.flush_ns");
-        let mut retired = Vec::new();
-        let mut created = Vec::new();
-        // BTreeSet iteration keeps the flush deterministic; roots leave
-        // the dirty set one by one so an error (e.g. an invalid `k`)
-        // does not silently un-dirty the rest.
         let roots: Vec<usize> = self.dirty.iter().copied().collect();
-        for root in roots {
-            let pairs = self.listed_pairs_of(root);
-            let fresh = if pairs.is_empty() {
-                Vec::new()
-            } else {
-                self.generator.generate(&pairs, self.config.cluster_size)?
-            };
-            let (r, c) = self.live.regenerate(root, fresh);
-            retired.extend(r);
-            created.extend(c);
-            self.dirty.remove(&root);
+        let filed: Vec<HitId> = roots
+            .iter()
+            .flat_map(|&root| self.live.ids_of(root).iter().copied())
+            .collect();
+        let shown: Vec<Cow<'_, [RecordId]>> =
+            filed.iter().map(|&id| self.hit_records(id)).collect();
+        // Keep or retire every HIT filed under a dirty cluster; a retired
+        // HIT orphans the listed pairs it covered.
+        let mut homes: Vec<Option<usize>> = Vec::with_capacity(filed.len());
+        let mut orphans: HashSet<Pair> = HashSet::new();
+        for records in &shown {
+            let home = self.home_of(records);
+            if home.is_none() {
+                orphans.extend(self.listed_among(records));
+            }
+            homes.push(home);
         }
+        if !orphans.is_empty() {
+            self.drop_covered(&mut orphans, &shown, &homes);
+        }
+        // The pairs that need a fresh HIT, grouped by cluster.
+        let mut pending: Vec<(usize, Pair)> = self
+            .fresh
+            .iter()
+            .filter(|p| self.listed.contains(p))
+            .chain(&orphans)
+            .map(|&p| (self.conn.root(p.lo().index()), p))
+            .collect();
+        pending.sort_unstable();
+        pending.dedup();
+        let mut kept_in: HashMap<usize, usize> = HashMap::new();
+        for home in homes.iter().flatten() {
+            *kept_in.entry(*home).or_default() += 1;
+        }
+
+        // One generator run per cluster, over all of its listed pairs if
+        // the repaired set would drift past the fallback bound.
+        let k = self.config.cluster_size;
+        let mut fresh_hits: Vec<(usize, Vec<Hit>)> = Vec::new();
+        let mut regenerated: Vec<usize> = Vec::new();
+        for group in pending.chunk_by(|x, y| x.0 == y.0) {
+            let root = group[0].0;
+            let mut pairs: Vec<Pair> = group.iter().map(|&(_, p)| p).collect();
+            let mut hits = self.generator.generate(&pairs, k)?;
+            let live = kept_in.get(&root).copied().unwrap_or(0) + hits.len();
+            let drifted = self.conn.component_size(root) > k
+                && self
+                    .live
+                    .baseline(root)
+                    .is_some_and(|base| live as f64 > MAX_DRIFT * base as f64);
+            if drifted {
+                for (records, home) in shown.iter().zip(homes.iter_mut()) {
+                    if *home == Some(root) {
+                        pairs.extend(self.listed_among(records));
+                        *home = None;
+                    }
+                }
+                pairs.sort_unstable();
+                pairs.dedup();
+                hits = self.generator.generate(&pairs, k)?;
+                regenerated.push(root);
+            }
+            fresh_hits.push((root, hits));
+        }
+
+        let kept = homes.iter().flatten().count();
+        let (retired, created) = self.live.repair(&roots, &homes, fresh_hits, &regenerated);
+        self.fresh.clear();
+        self.dirty.clear();
         crowder_obs::counter!("stream.resolver.hits_retired").add(retired.len() as u64);
+        crowder_obs::counter!("stream.resolver.hits_kept").add(kept as u64);
         crowder_obs::counter!("stream.resolver.hits_created").add(created.len() as u64);
+        crowder_obs::counter!("stream.resolver.full_regenerations").add(regenerated.len() as u64);
         crowder_obs::gauge!("stream.resolver.live_hits").set(self.live.len() as i64);
+        crowder_obs::gauge!("stream.resolver.hits_per_listed_pair_milli")
+            .set((self.hits_per_listed_pair() * 1000.0).round() as i64);
         self.observe_cluster_state();
         Ok(HitDelta {
             stable: self.live.len() - created.len(),
@@ -736,20 +864,68 @@ impl IncrementalResolver {
         })
     }
 
-    /// The listed pairs of the cluster labelled `root`: every listed
-    /// pair is an active edge, so scanning the members' adjacency finds
-    /// them all.
-    fn listed_pairs_of(&self, root: usize) -> Vec<Pair> {
-        let mut out = Vec::new();
-        for &v in self.conn.component_members(root) {
-            for u in self.conn.neighbors(v as usize) {
-                let pair = Pair::of(v, u as u32);
-                if (v as usize) < u && self.listed.contains(&pair) {
-                    out.push(pair);
-                }
+    /// The records a live HIT shows, borrowed for cluster-based HITs
+    /// (the only kind the generator publishes).
+    fn hit_records(&self, id: HitId) -> Cow<'_, [RecordId]> {
+        match self.live.get(id).expect("filed ids are live") {
+            Hit::ClusterBased { records } => Cow::Borrowed(records),
+            hit => Cow::Owned(hit.records()),
+        }
+    }
+
+    /// The cluster a HIT over `records` belongs to if it stays
+    /// published: all records alive, in one cluster, and at least one
+    /// listed pair among them. `None` if it must be retired.
+    fn home_of(&self, records: &[RecordId]) -> Option<usize> {
+        let root = self.conn.root(records.first()?.index());
+        let intact = records
+            .iter()
+            .all(|&r| self.index.is_alive(r) && self.conn.root(r.index()) == root);
+        let useful = intact && pairs_among(records).any(|p| self.listed.contains(&p));
+        useful.then_some(root)
+    }
+
+    /// The listed pairs among `records`.
+    fn listed_among<'a>(&'a self, records: &'a [RecordId]) -> impl Iterator<Item = Pair> + 'a {
+        pairs_among(records).filter(|p| self.listed.contains(p))
+    }
+
+    /// Remove from `orphans` every pair a kept HIT covers: `shown[i]`
+    /// with `homes[i]` set. (An orphan's cluster is always dirty — the
+    /// retired HIT lost a record, spanned a split or sat in a merged
+    /// cluster — so no HIT of a clean cluster can cover it.)
+    fn drop_covered(
+        &self,
+        orphans: &mut HashSet<Pair>,
+        shown: &[Cow<'_, [RecordId]>],
+        homes: &[Option<usize>],
+    ) {
+        let mut ends = vec![false; self.dataset.len()];
+        for p in orphans.iter() {
+            ends[p.lo().index()] = true;
+            ends[p.hi().index()] = true;
+        }
+        for (records, _) in shown.iter().zip(homes).filter(|(_, home)| home.is_some()) {
+            let touched: Vec<RecordId> = records
+                .iter()
+                .filter(|r| ends[r.index()])
+                .copied()
+                .collect();
+            for pair in pairs_among(&touched) {
+                orphans.remove(&pair);
             }
         }
-        out
+    }
+
+    /// Live HITs per listed pair: the drift of the repaired HIT set,
+    /// comparable against a fresh two-tiered generation over the same
+    /// pairs. 0 when nothing is listed.
+    pub fn hits_per_listed_pair(&self) -> f64 {
+        if self.listed.is_empty() {
+            0.0
+        } else {
+            self.live.len() as f64 / self.listed.len() as f64
+        }
     }
 
     /// Export the complete resolver state in the deterministic snapshot
@@ -801,7 +977,9 @@ impl IncrementalResolver {
             hits: hits.into_iter().map(|(id, h)| (id.0, h)).collect(),
             hit_roots: hit_roots
                 .into_iter()
-                .map(|(root, ids)| (root, ids.into_iter().map(|id| id.0).collect()))
+                .map(|(root, base, ids)| {
+                    (root, base as u64, ids.into_iter().map(|id| id.0).collect())
+                })
                 .collect(),
             next_hit,
             inserts_since_rebuild: self.inserts_since_rebuild as u64,
@@ -918,11 +1096,22 @@ impl IncrementalResolver {
                 )
             }),
         );
+        for (id, hit) in &hits {
+            let records = hit.records();
+            if records.is_empty() || records.iter().any(|r| r.index() >= dataset.len()) {
+                return Err(Error::InvalidData(format!(
+                    "state import: {} shows no records or an unknown one",
+                    HitId(*id)
+                )));
+            }
+        }
         let live = LiveHits::from_parts(
             hits.into_iter().map(|(id, h)| (HitId(id), h)).collect(),
             hit_roots
                 .into_iter()
-                .map(|(root, ids)| (root, ids.into_iter().map(HitId).collect()))
+                .map(|(root, base, ids)| {
+                    (root, base as usize, ids.into_iter().map(HitId).collect())
+                })
                 .collect(),
             next_hit,
         )?;
@@ -939,6 +1128,7 @@ impl IncrementalResolver {
             cumulative,
             conn: DynamicConnectivity::new(0),
             listed: HashSet::new(),
+            fresh: Vec::new(),
             dirty: BTreeSet::new(),
             live,
             generator,
@@ -1140,6 +1330,15 @@ impl IncrementalResolver {
     }
 }
 
+/// Every pair of two distinct records of `records`.
+fn pairs_among(records: &[RecordId]) -> impl Iterator<Item = Pair> + '_ {
+    records.iter().enumerate().flat_map(move |(i, &a)| {
+        records[i + 1..]
+            .iter()
+            .filter_map(move |&b| Pair::new(a, b).ok())
+    })
+}
+
 /// Internal: how one pair sync moved the cluster structure.
 #[derive(Debug, Clone, Copy, Default)]
 struct ClusterShift {
@@ -1213,53 +1412,160 @@ mod tests {
         assert_eq!(r.dirty_clusters(), 0);
     }
 
+    /// Every live HIT as `(id, content)`, in id order.
+    fn snapshot_hits(r: &IncrementalResolver) -> Vec<(HitId, Hit)> {
+        r.live_hits()
+            .iter()
+            .map(|(id, h)| (id, h.clone()))
+            .collect()
+    }
+
     #[test]
     fn untouched_clusters_keep_stable_hit_ids() {
         let mut r = resolver(0.5);
         feed(&mut r, &["a b c", "a b c", "x y z", "x y z w"]);
         r.regenerate_hits().unwrap();
-        let before: Vec<_> = r
-            .live_hits()
-            .iter()
-            .map(|(id, h)| (id, h.clone()))
-            .collect();
+        let before = snapshot_hits(&r);
+        assert_eq!(before.len(), 2);
         // A record joining only the {x y z} cluster dirties that cluster
-        // alone: the {a b c} HIT survives with the same id.
+        // alone. Both HITs survive with the same ids and content: the
+        // a-b-c one is not even looked at, the x-y-z one still covers a
+        // listed pair. One fresh HIT covers the new pairs.
         r.insert(SourceId(0), vec!["x y z w v".into()]).unwrap();
         assert_eq!(r.dirty_clusters(), 1);
         let delta = r.regenerate_hits().unwrap();
-        assert_eq!(delta.stable, 1);
-        let after: Vec<_> = r
-            .live_hits()
-            .iter()
-            .map(|(id, h)| (id, h.clone()))
-            .collect();
-        let stable_before: Vec<_> = before
-            .iter()
-            .filter(|(id, _)| after.iter().any(|(aid, _)| aid == id))
-            .collect();
-        assert_eq!(stable_before.len(), 1, "exactly the a-b-c HIT persists");
-        let (sid, shit) = stable_before[0];
-        assert_eq!(
-            after.iter().find(|(aid, _)| aid == sid).map(|(_, h)| h),
-            Some(shit),
-            "stable id keeps stable content"
-        );
+        assert!(delta.retired.is_empty(), "{delta:?}");
+        assert_eq!(delta.created.len(), 1);
+        assert_eq!(delta.stable, 2);
+        let after = snapshot_hits(&r);
+        for hit in &before {
+            assert!(after.contains(hit), "{hit:?} kept with stable content");
+        }
+        let fresh = r.live_hits().get(delta.created[0]).unwrap();
+        assert!(fresh.covers(&Pair::of(3, 4)) && fresh.covers(&Pair::of(2, 4)));
     }
 
     #[test]
-    fn merging_clusters_retires_both_sides() {
+    fn a_drifted_cluster_is_regenerated_in_full() {
+        let mut r = IncrementalResolver::new(
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig {
+                threshold: 0.5,
+                cluster_size: 2,
+                ..StreamConfig::default()
+            },
+        );
+        feed(&mut r, &["a b c", "a b c"]);
+        r.regenerate_hits().unwrap();
+        let first = snapshot_hits(&r)[0].0;
+        let base = |r: &IncrementalResolver| r.live_hits().baseline(r.cluster_of(RecordId(0)));
+        assert_eq!(base(&r), Some(1));
+        // A third copy adds two pairs. At k = 2 the cluster now holds
+        // more records than one HIT can show, and keeping the first HIT
+        // beside two fresh ones would make 3 HITs against a baseline of
+        // 1, past the 1.5× bound. The cluster is regenerated in full:
+        // all three pairs, one HIT each.
+        r.insert(SourceId(0), vec!["a b c".into()]).unwrap();
+        let delta = r.regenerate_hits().unwrap();
+        assert_eq!(delta.retired, vec![first]);
+        assert_eq!(delta.created.len(), 3);
+        assert_eq!(base(&r), Some(3));
+    }
+
+    #[test]
+    fn flushes_publish_kept_created_and_drift() {
+        let counter = |name| crowder_obs::global().counter(name).value();
         let mut r = resolver(0.5);
+        feed(&mut r, &["a b c", "a b c", "x y z", "x y z w"]);
+        r.regenerate_hits().unwrap();
+        let kept = counter("stream.resolver.hits_kept");
+        let created = counter("stream.resolver.hits_created");
+        r.insert(SourceId(0), vec!["x y z w v".into()]).unwrap();
+        r.regenerate_hits().unwrap();
+        // Counters are process-wide and other tests flush concurrently.
+        assert!(counter("stream.resolver.hits_kept") > kept);
+        assert!(counter("stream.resolver.hits_created") > created);
+        // Three HITs over four listed pairs.
+        assert_eq!(r.hits_per_listed_pair(), 0.75);
+    }
+
+    #[test]
+    fn merging_clusters_keeps_both_sides() {
+        let mut r = IncrementalResolver::new(
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig {
+                threshold: 0.5,
+                ..StreamConfig::default()
+            },
+        );
         feed(&mut r, &["a b c d", "a b c d", "e f g h", "e f g h"]);
         r.regenerate_hits().unwrap();
+        let before = snapshot_hits(&r);
         assert_eq!(r.cluster_count(), 2);
+        assert_eq!(before.len(), 2);
         // A bridge record overlapping both clusters merges them.
         r.insert(SourceId(0), vec!["a b c d e f g h".into()])
             .unwrap();
         assert_eq!(r.cluster_count(), 1);
         let delta = r.regenerate_hits().unwrap();
-        assert_eq!(delta.retired.len(), 2, "both old clusters' HITs retire");
-        assert_eq!(delta.stable, 0);
+        assert!(delta.retired.is_empty(), "both sides' HITs stay: {delta:?}");
+        assert_eq!(delta.stable, 2);
+        let after = snapshot_hits(&r);
+        for hit in &before {
+            assert!(after.contains(hit), "{hit:?} kept with stable content");
+        }
+        // One fresh HIT covers the bridge's four pairs.
+        assert_eq!(delta.created.len(), 1);
+        let fresh = r.live_hits().get(delta.created[0]).unwrap();
+        assert!((0..4).all(|i| fresh.covers(&Pair::of(i, 4))));
+    }
+
+    #[test]
+    fn a_split_retires_exactly_the_hits_spanning_the_cut() {
+        let mut r = IncrementalResolver::new(
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig {
+                threshold: 0.5,
+                cluster_size: 3,
+                ..StreamConfig::default()
+            },
+        );
+        // A chain 0-1-2-3: neighbours share 3 of 5 tokens, the rest at
+        // most 2 of 6.
+        feed(&mut r, &["a b c d", "b c d e", "c d e f", "d e f g"]);
+        assert_eq!(r.pairs().len(), 3);
+        r.regenerate_hits().unwrap();
+        let before = snapshot_hits(&r);
+        // Two NO votes veto the middle edge: {0, 1} and {2, 3} split.
+        r.record_evidence(Pair::of(1, 2), false, 1.0);
+        assert!(r.record_evidence(Pair::of(1, 2), false, 1.0).split);
+        let spans = |r: &IncrementalResolver, h: &Hit| {
+            let sides: HashSet<usize> = h.records().iter().map(|&x| r.cluster_of(x)).collect();
+            sides.len() > 1
+        };
+        let spanning: Vec<HitId> = before
+            .iter()
+            .filter(|(_, h)| spans(&r, h))
+            .map(|(id, _)| *id)
+            .collect();
+        assert!(!spanning.is_empty(), "a k = 3 HIT straddles the middle");
+        let delta = r.regenerate_hits().unwrap();
+        assert_eq!(delta.retired, spanning);
+        let after = snapshot_hits(&r);
+        for hit in before.iter().filter(|(id, _)| !spanning.contains(id)) {
+            assert!(after.contains(hit), "{hit:?} kept with stable content");
+        }
+        // The cut pairs are covered again, each side on its own.
+        for p in [Pair::of(0, 1), Pair::of(2, 3)] {
+            assert!(after.iter().any(|(_, h)| h.covers(&p)), "{p} covered");
+        }
+        assert!(after.iter().all(|(_, h)| !spans(&r, h)));
     }
 
     #[test]
@@ -1407,15 +1713,18 @@ mod tests {
         let rep = r.record_evidence(bridge, true, 1.0);
         assert!(rep.committed && rep.merged, "{rep:?}");
         assert_eq!(r.cluster_of(RecordId(0)), r.cluster_of(RecordId(3)));
+        let before = snapshot_hits(&r);
         let delta = r.regenerate_hits().unwrap();
-        assert_eq!(delta.retired.len(), 2, "both halves' HITs retire");
+        assert!(delta.retired.is_empty(), "both halves' HITs stay");
+        assert!(delta.created.is_empty(), "no pair awaits a fresh HIT");
         // Contradicting evidence decommits the bridge: the cluster
         // splits back apart.
         let rep = r.record_evidence(bridge, false, 1.0);
         assert!(rep.decommitted && rep.split, "{rep:?}");
         assert_ne!(r.cluster_of(RecordId(0)), r.cluster_of(RecordId(3)));
         let delta = r.regenerate_hits().unwrap();
-        assert!(!delta.created.is_empty(), "split sides get fresh HITs");
+        assert!(delta.retired.is_empty(), "no HIT spans the cut");
+        assert_eq!(snapshot_hits(&r), before, "each side keeps its HIT");
         assert_eq!(r.cluster_count(), 2);
     }
 
@@ -1675,6 +1984,10 @@ mod tests {
         // A machine pair pointing past the corpus.
         let mut bad = good.clone();
         bad.pairs.push(ScoredPair::new(Pair::of(0, 99), 0.9));
+        assert!(IncrementalResolver::import_state(config.clone(), bad).is_err());
+        // A HIT showing a record past the corpus.
+        let mut bad = good.clone();
+        bad.hits[0].1 = Hit::cluster([RecordId(0), RecordId(9)]);
         assert!(IncrementalResolver::import_state(config.clone(), bad).is_err());
         // Labels that split the machine pair (0, 1)'s derived edge.
         let mut bad = good;

@@ -14,9 +14,10 @@
 //!   bits, and the signed **evidence tallies**;
 //! * **cluster labels**, which depend on the merge/split *sequence*,
 //!   not just the current edge set;
-//! * the **HIT id counter**, the live HITs and the per-cluster id
-//!   books, so regenerated HITs continue the same never-reused id
-//!   sequence.
+//! * the **HIT id counter**, the live HITs and the per-cluster books
+//!   (ids in filing order and the baseline of the drift fallback), so
+//!   a flush after recovery keeps, retires and publishes exactly what
+//!   it would have, under the same never-reused ids.
 //!
 //! What is **derived** on import: token-id lists re-encode from the
 //! stored fields through the dictionary; index postings rebuild from
@@ -24,9 +25,9 @@
 //! `machine` membership set is the pair list; the cluster edges and
 //! the to-verify pairs follow from the pairs, the tallies and the
 //! liveness flags under the edge-state rule (see the `resolver` module
-//! docs); and the removal count is the number of dead slots. HIT
-//! regeneration reads each cluster's to-verify pairs as a set — the
-//! two-tiered generator sorts its input — so no list order is stored.
+//! docs); and the removal count is the number of dead slots. An export
+//! happens only at a flush boundary, where nothing awaits the next
+//! flush, so the pairs listed since the last flush are not stored.
 //!
 //! [`IncrementalResolver`]: crate::IncrementalResolver
 
@@ -76,8 +77,9 @@ pub struct ResolverState {
     pub labels: Vec<u32>,
     /// Live HITs in ascending id order.
     pub hits: Vec<(u64, Hit)>,
-    /// Per-cluster published HIT ids, sorted by cluster label.
-    pub hit_roots: Vec<(usize, Vec<u64>)>,
+    /// Per-cluster books sorted by cluster label: `(label, baseline,
+    /// HIT ids in filing order)`.
+    pub hit_roots: Vec<(usize, u64, Vec<u64>)>,
     /// Next HIT id to assign (ids are never reused).
     pub next_hit: u64,
     /// Arrivals since the last re-rank epoch.

@@ -6,12 +6,14 @@
 //! exactly revocable: retracting every vote restores the machine-only
 //! clustering.
 
+mod common;
+
 use crowder_datagen::{restaurant, RestaurantConfig};
 use crowder_simjoin::{prefix_join, TokenTable};
-use crowder_stream::{IncrementalResolver, StreamConfig};
+use crowder_stream::{HitDelta, IncrementalResolver, StreamConfig};
 use crowder_types::{Dataset, Pair, PairSpace, RecordId, ScoredPair, SourceId};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Batch reference over a finished corpus.
 fn batch_pairs(dataset: &Dataset, threshold: f64, threads: usize) -> Vec<ScoredPair> {
@@ -386,6 +388,7 @@ proptest! {
         };
         let mut alive: Vec<RecordId> = Vec::new();
         let mut pending: Vec<&String> = names.iter().rev().collect();
+        let mut listed: HashSet<Pair> = HashSet::new();
         for _ in 0..names.len() * 4 {
             match roll(10) {
                 0 if !alive.is_empty() => {
@@ -417,8 +420,8 @@ proptest! {
                     resolver.retract(voted[roll(voted.len())]);
                 }
                 7 => {
-                    resolver.regenerate_hits().unwrap();
-                    check_flush(&resolver)?;
+                    let delta = resolver.regenerate_hits().unwrap();
+                    listed = check_flush(&resolver, &listed, &delta)?;
                 }
                 _ => {
                     if let Some(name) = pending.pop() {
@@ -427,49 +430,29 @@ proptest! {
                 }
             }
         }
-        resolver.regenerate_hits().unwrap();
-        check_flush(&resolver)?;
+        let delta = resolver.regenerate_hits().unwrap();
+        check_flush(&resolver, &listed, &delta)?;
     }
 }
 
 /// The per-flush invariants of
-/// `flushes_cover_every_pair_awaiting_verification`.
-fn check_flush(resolver: &IncrementalResolver) -> Result<(), proptest::TestCaseError> {
-    let ledger = resolver.ledger();
-    for sp in resolver.pairs() {
-        let p = sp.pair;
-        if ledger.committed(&p)
-            || ledger.vetoed(&p)
-            || !resolver.is_alive(p.lo())
-            || !resolver.is_alive(p.hi())
-        {
-            continue;
-        }
-        prop_assert!(
-            resolver.live_hits().iter().any(|(_, hit)| hit.covers(&p)),
-            "pair {} awaits verification but no live HIT covers it",
-            p
-        );
-    }
-    for (id, hit) in resolver.live_hits().iter() {
-        let records = hit.records();
-        prop_assert!(
-            records.iter().all(|&r| resolver.is_alive(r)),
-            "{} holds a dead record",
-            id
-        );
-        let cluster = resolver.cluster_of(records[0]);
-        prop_assert!(
-            records.iter().all(|&r| resolver.cluster_of(r) == cluster),
-            "{} spans clusters",
-            id
-        );
-    }
+/// `flushes_cover_every_pair_awaiting_verification`: the HIT invariants
+/// of `common::check_hit_invariants` (every listed pair covered, every
+/// live HIT over live records of one cluster covering a listed pair,
+/// every newly listed pair covered by a HIT this flush created), and a
+/// lossless export. Returns the listed set for the next flush.
+fn check_flush(
+    resolver: &IncrementalResolver,
+    previous: &HashSet<Pair>,
+    delta: &HitDelta,
+) -> Result<HashSet<Pair>, proptest::TestCaseError> {
+    let listed = common::check_hit_invariants(resolver, previous, delta)
+        .map_err(proptest::TestCaseError::fail)?;
     let exported = resolver.export_state().unwrap();
     let imported =
         IncrementalResolver::import_state(resolver.config().clone(), exported.clone()).unwrap();
     prop_assert_eq!(imported.export_state().unwrap(), exported);
-    Ok(())
+    Ok(listed)
 }
 
 /// Label-independent clustering signature: each live record mapped to

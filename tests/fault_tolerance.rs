@@ -63,9 +63,12 @@ fn wrong_merge_is_undone_by_contradicting_evidence() {
     assert!(r.committed_pairs().contains(&bridge));
     let merged = r.regenerate_hits().unwrap();
     assert!(
-        !merged.retired.is_empty() && !merged.created.is_empty(),
-        "the merge must retire the old clusters' HITs and publish the merged cluster's: {merged:?}"
+        merged.retired.is_empty() && merged.created.is_empty(),
+        "the merge must keep both clusters' HITs, which still cover their pairs: {merged:?}"
     );
+    for id in &initial.created {
+        assert!(r.live_hits().get(*id).is_some(), "{id} survives the merge");
+    }
 
     // Contradicting answers accumulate: net evidence falls below the
     // commit margin, the edge decommits, and the cluster splits.
@@ -75,9 +78,19 @@ fn wrong_merge_is_undone_by_contradicting_evidence() {
     assert!(!r.committed_pairs().contains(&bridge));
     let split = r.regenerate_hits().unwrap();
     assert!(
-        !split.retired.is_empty() && split.created.len() >= 2,
-        "the split must retire the merged HITs and republish both sides: {split:?}"
+        split.retired.is_empty() && split.created.is_empty(),
+        "no HIT spans the cut, so the split must keep every HIT: {split:?}"
     );
+    for id in &initial.created {
+        let hit = r.live_hits().get(*id).expect("HIT survives the split");
+        let records = hit.records();
+        assert!(
+            records
+                .iter()
+                .all(|&x| r.cluster_of(x) == r.cluster_of(records[0])),
+            "{id} sits inside one side"
+        );
+    }
 }
 
 /// Adversarial worker profiles — the systematic liar, the random

@@ -7,9 +7,8 @@
 //! cluster-based HIT is a vertex set that *covers* the edges inside it.
 //! All five cluster-HIT generators operate on this structure:
 //!
-//! * [`PairGraph`] — immutable snapshot built from a pair list, with
-//!   connected-component extraction (the two-tiered algorithm's first
-//!   step, Algorithm 1 line 2),
+//! * [`pairs_by_component`] — a pair list split by connected component
+//!   (the two-tiered algorithm's first step, Algorithm 1 line 2),
 //! * [`MutGraph`] — an adjacency-set graph supporting the edge removals
 //!   every generator performs ("remove the edges covered by H"),
 //! * [`UnionFind`] — disjoint sets for component labelling (grow-only),
@@ -21,12 +20,10 @@
 
 pub mod components;
 pub mod dynforest;
-pub mod graph;
 pub mod mutgraph;
 pub mod unionfind;
 
-pub use components::connected_components;
+pub use components::pairs_by_component;
 pub use dynforest::{DynamicConnectivity, EdgeCut, EdgeLink};
-pub use graph::PairGraph;
 pub use mutgraph::MutGraph;
 pub use unionfind::UnionFind;

@@ -1,11 +1,10 @@
 //! Precision–recall curves over ranked pair lists.
 
 use crowder_types::{GoldStandard, ScoredPair};
-use serde::{Deserialize, Serialize};
 
 /// One point of a precision–recall curve (the state after identifying
 /// the top-`n` pairs as matches).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrPoint {
     /// Number of top-ranked pairs declared matches.
     pub n: usize,
@@ -16,7 +15,7 @@ pub struct PrPoint {
 }
 
 /// A full precision–recall curve.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PrCurve {
     /// Points for n = 1..=len(ranked).
     pub points: Vec<PrPoint>,

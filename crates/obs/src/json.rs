@@ -1,7 +1,6 @@
 //! Hand-rolled JSON emission and parsing, shared by every
-//! machine-readable report in the workspace (the vendored `serde` is a
-//! no-op derive stand-in; swap this module for serde_json when the real
-//! registry crates land — see ROADMAP).
+//! machine-readable report in the workspace (the workspace builds
+//! offline, without serde).
 //!
 //! Writers: [`JsonRow`] builds one single-line object (an array row),
 //! [`JsonReport`] builds the pretty-printed top-level report object.

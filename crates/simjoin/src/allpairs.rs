@@ -59,7 +59,10 @@ pub fn all_pairs_scored(
                             let mut local = Vec::new();
                             let mut i = t;
                             while i < a_ids.len() {
-                                score_row_cross(tokens, a_ids[i], b_ids, threshold, &mut local);
+                                // `CrossSource(a, a)` is a self-join of
+                                // `a`: pair each record with later ones.
+                                let partners = if sa == sb { &b_ids[i + 1..] } else { b_ids };
+                                score_row_cross(tokens, a_ids[i], partners, threshold, &mut local);
                                 i += threads;
                             }
                             local
@@ -115,7 +118,7 @@ fn score_row_cross(
         let b = tokens.ids(b_id);
         let sim = jaccard_ids(a, b);
         if sim >= threshold {
-            let pair = Pair::new(a_id, b_id).expect("distinct sources imply distinct ids");
+            let pair = Pair::new(a_id, b_id).expect("partners are other records");
             out.push(ScoredPair::new(pair, sim));
         }
     }

@@ -45,9 +45,18 @@
 //! between steps 3 and 4 a 256-bit band signature rejects short pairs
 //! (see [`filters`](crate::filters)).
 //!
+//! The index is split by join side
+//! ([`PairSpace::sides`](crowder_types::PairSpace::sides)): each record
+//! is indexed under its own side and probes only its partner side's
+//! lists. A self-join has one side; a cross-source join (Product's
+//! Abt–Buy) indexes each source under its own side, so no intra-source
+//! pair is ever enumerated, and a source outside the pair space is
+//! neither indexed nor probed. Every candidate is therefore inside the
+//! pair space, and [`JoinStats::space_pruned`] reads 0 on this path.
+//!
 //! This module keeps only what is batch-specific: the length-sorted
-//! probe order, the indexing-prefix posting lists, and phase 1 of the
-//! probe (walking those lists). The probe itself — adaptive level,
+//! probe order, the sided indexing-prefix posting lists, and phase 1 of
+//! the probe (walking those lists). The probe itself — adaptive level,
 //! scratch, and the per-candidate steps 3–5 — is the shared kernel
 //! [`filters::Probe`](crate::filters::Probe), the same code
 //! `crowder-stream`'s delta join runs.
@@ -77,11 +86,100 @@ pub use crate::filters::SUFFIX_FILTER_DEPTH;
 /// the token's count-filter tier (0 inside the base indexing prefix,
 /// `n ≥ 1` for the n-th frontier token — only probes running the count
 /// filter at level `> n` may count it).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Posting {
     rank: u32,
     pos: u32,
     tier: u8,
+}
+
+/// The inverted index over *extended* indexing prefixes, one posting
+/// array per join side ([`PairSpace::sides`](crowder_types::PairSpace::sides)):
+/// side `s`'s list of token `tok` is
+/// `postings[s][offsets[s][tok]..offsets[s][tok + 1]]`, ascending in
+/// rank and therefore in record length. Tokens past the base indexing
+/// prefix carry their count-filter tier, so level-1 probes skip them
+/// and higher-level probes count them (the Adapt-Join extension).
+struct SidedIndex {
+    offsets: Vec<Vec<u32>>,
+    postings: Vec<Vec<Posting>>,
+}
+
+impl SidedIndex {
+    /// Index every record with a side under that side: a counting pass
+    /// sizes each list, then a fill pass writes the postings in rank
+    /// order.
+    fn build(
+        dataset: &Dataset,
+        order: &[u32],
+        docs: &[&[u32]],
+        vocabulary: usize,
+        threshold: f64,
+    ) -> Self {
+        let space = dataset.pair_space;
+        let side_count = dataset
+            .records()
+            .iter()
+            .filter_map(|r| space.sides(r.source))
+            .map(|(side, _)| side + 1)
+            .max()
+            .unwrap_or(0);
+        // The indexed window of each record in rank order, with its
+        // side; empty records and records no pair involves are left out.
+        let windows = || {
+            order.iter().enumerate().filter_map(|(rank, &x)| {
+                let (side, _) = space.sides(dataset.records()[x as usize].source)?;
+                let doc = docs[x as usize];
+                if doc.is_empty() {
+                    return None;
+                }
+                let base = index_prefix_len(doc.len(), threshold);
+                let window = extended_prefix_len(base, doc.len());
+                Some((rank as u32, side, &doc[..window], base))
+            })
+        };
+        let mut offsets = vec![vec![0u32; vocabulary + 1]; side_count];
+        for (_, side, window, _) in windows() {
+            for &tok in window {
+                offsets[side][tok as usize + 1] += 1;
+            }
+        }
+        for side in &mut offsets {
+            for tok in 0..vocabulary {
+                side[tok + 1] += side[tok];
+            }
+        }
+        let mut next: Vec<Vec<u32>> = offsets.clone();
+        let mut postings: Vec<Vec<Posting>> = offsets
+            .iter()
+            .map(|side| vec![Posting::default(); side[vocabulary] as usize])
+            .collect();
+        for (rank, side, window, base) in windows() {
+            for (pos, &tok) in window.iter().enumerate() {
+                let slot = &mut next[side][tok as usize];
+                postings[side][*slot as usize] = Posting {
+                    rank,
+                    pos: pos as u32,
+                    tier: posting_tier(pos, base),
+                };
+                *slot += 1;
+            }
+        }
+        SidedIndex { offsets, postings }
+    }
+
+    /// Side `side`'s posting list of `tok` (empty for a side no record
+    /// is indexed under).
+    #[inline]
+    fn list(&self, side: usize, tok: u32) -> &[Posting] {
+        match self.offsets.get(side) {
+            Some(offsets) => {
+                let tok = tok as usize;
+                &self.postings[side][offsets[tok] as usize..offsets[tok + 1] as usize]
+            }
+            None => &[],
+        }
+    }
 }
 
 /// Per-join filter-funnel counters, summed across worker threads.
@@ -103,6 +201,8 @@ pub struct JoinStats {
     pub positional_pruned: u64,
     /// Candidates discarded because the pair is outside the dataset's
     /// [`PairSpace`](crowder_types::PairSpace) (e.g. intra-source).
+    /// Always 0 for [`prefix_join_with_stats`], which probes only the
+    /// partner side; `crowder-stream`'s delta probe still counts them.
     pub space_pruned: u64,
     /// Candidates discarded by the 256-bit band-signature lower bound
     /// on the symmetric difference (short records only: the check
@@ -205,28 +305,7 @@ pub fn prefix_join_with_stats(
         .iter()
         .map(|&i| docs[i as usize].len() as u32)
         .collect();
-
-    // Inverted index over *extended* indexing prefixes, in rank order:
-    // each posting list is ascending in rank and therefore in record
-    // length. Tokens past the base indexing prefix carry their
-    // count-filter tier, so level-1 probes skip them and higher-level
-    // probes count them (the Adapt-Join extension).
-    let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); tokens.dict().len()];
-    for (rank, &x) in order.iter().enumerate() {
-        let doc = docs[x as usize];
-        if doc.is_empty() {
-            continue;
-        }
-        let base = index_prefix_len(doc.len(), threshold);
-        let window = extended_prefix_len(base, doc.len());
-        for (pos, &tok) in doc[..window].iter().enumerate() {
-            postings[tok as usize].push(Posting {
-                rank: rank as u32,
-                pos: pos as u32,
-                tier: posting_tier(pos, base),
-            });
-        }
-    }
+    let index = SidedIndex::build(dataset, &order, &docs, tokens.dict().len(), threshold);
 
     // Per-record 256-bit band signatures (ids are dense rarest-first
     // ranks, so the 256 residue classes spread well).
@@ -234,7 +313,7 @@ pub fn prefix_join_with_stats(
 
     let threads = effective_threads(threads).min(n.max(1));
     let locals: Vec<(Vec<ScoredPair>, JoinStats)> = std::thread::scope(|scope| {
-        let (order, lens, docs, postings, sigs) = (&order, &lens, &docs, &postings, &sigs);
+        let (order, lens, docs, index, sigs) = (&order, &lens, &docs, &index, &sigs);
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
@@ -249,7 +328,7 @@ pub fn prefix_join_with_stats(
                             docs,
                             order,
                             lens,
-                            postings,
+                            index,
                             sigs,
                             threshold,
                             rank,
@@ -290,7 +369,7 @@ fn probe(
     docs: &[&[u32]],
     order: &[u32],
     lens: &[u32],
-    postings: &[Vec<Posting>],
+    index: &SidedIndex,
     sigs: &[BandSignature],
     threshold: f64,
     rank: usize,
@@ -300,12 +379,18 @@ fn probe(
 ) {
     let x = order[rank];
     let doc = docs[x as usize];
+    let Some((_, partner)) = dataset
+        .pair_space
+        .sides(dataset.records()[x as usize].source)
+    else {
+        return;
+    };
     if doc.is_empty() {
         return;
     }
     let min_len_y = min_match_len(doc.len(), threshold);
     let mut probe = scratch.start(doc, sigs[x as usize], threshold, docs.len(), |tok| {
-        postings[tok as usize].len() as u64
+        index.list(partner, tok).len() as u64
     });
     let level = probe.level();
 
@@ -316,7 +401,7 @@ fn probe(
     // probe this record themselves) — and at level 1 up to the
     // position's truncation cutoff.
     for (i, &tok) in probe.window().iter().enumerate() {
-        let plist = &postings[tok as usize];
+        let plist = index.list(partner, tok);
         let start = plist.partition_point(|p| (lens[p.rank as usize] as usize) < min_len_y);
         let max_len_y = if level == 1 { probe.cut(i) } else { usize::MAX };
         let mut hits = probe.at(i);
@@ -336,7 +421,12 @@ fn probe(
         Pair::new(RecordId(x), RecordId(y)).expect("distinct ranks imply distinct records")
     };
     for &y in probe.candidates() {
-        let space_ok = || dataset.is_candidate(&pair_of(y));
+        // Only the partner side was scanned, so every candidate lies in
+        // the pair space.
+        let space_ok = || {
+            debug_assert!(dataset.is_candidate(&pair_of(y)));
+            true
+        };
         if let Some(sim) = probe.verify(y, docs[y as usize], &sigs[y as usize], space_ok, stats) {
             out.push(ScoredPair::new(pair_of(y), sim));
         }
@@ -448,14 +538,27 @@ mod tests {
 
     #[test]
     fn cross_source_stats_count_space_pruning() {
+        // Each source probes only the other's postings, so no
+        // intra-source pair becomes a candidate and the space filter
+        // never fires; a third source's record is never indexed and
+        // never probes, so adding one leaves the funnel unchanged.
         let names: Vec<String> = (0..20)
             .map(|i| format!("alpha beta gamma d{}", i % 4))
             .collect();
-        let d = dataset_from_names(&names, true);
-        let t = TokenTable::build(&d);
+        let mut d = dataset_from_names(&names, true);
+        let t = TokenTable::build_with_sets(&d);
         let (out, s) = prefix_join_with_stats(&d, &t, 0.5, 1);
-        assert!(s.space_pruned > 0, "intra-source candidates exist: {s:?}");
+        assert_eq!(s.space_pruned, 0, "{s:?}");
+        assert!(s.candidates <= 10 * 10, "only cross pairs: {s:?}");
         assert_eq!(s.results as usize, out.len());
+        // Every cross pair shares alpha, beta and gamma: Jaccard 3/5.
+        assert_eq!(out.len(), 10 * 10);
+        assert_eq!(out, brute_force_oracle(&d, &t, 0.5));
+        d.push_record(SourceId(2), vec![names[0].clone()]).unwrap();
+        let t = TokenTable::build(&d);
+        let (with_third, s3) = prefix_join_with_stats(&d, &t, 0.5, 1);
+        assert_eq!(with_third, out);
+        assert_eq!(s3, s);
     }
 
     #[test]
@@ -643,6 +746,37 @@ mod tests {
             let oracle = brute_force_oracle(&d, &t, thr);
             prop_assert_eq!(&oracle, &all_pairs_scored(&d, &t, thr, threads.max(1)));
             prop_assert_eq!(&oracle, &prefix_join(&d, &t, thr, threads));
+        }
+
+        /// Records from three sources under every pair-space shape: the
+        /// sided index must find exactly the exhaustive scorer's pairs,
+        /// whichever source is indexed under which side, and the third
+        /// source must join nothing under a cross-source space.
+        #[test]
+        fn sided_joins_agree_with_bruteforce_on_three_sources(
+            rows in proptest::collection::vec(
+                (0u8..3, "[a-e]{1,2}( [a-e]{1,2}){0,5}"),
+                2..24,
+            ),
+            thr in 0.05f64..=1.0,
+            threads in 1usize..=3,
+        ) {
+            let spaces = [
+                PairSpace::SelfJoin,
+                PairSpace::CrossSource(SourceId(0), SourceId(1)),
+                PairSpace::CrossSource(SourceId(1), SourceId(0)),
+                PairSpace::CrossSource(SourceId(0), SourceId(0)),
+            ];
+            for space in spaces {
+                let mut d = Dataset::new("t", vec!["name".into()], space);
+                for (src, name) in &rows {
+                    d.push_record(SourceId(*src), vec![name.clone()]).unwrap();
+                }
+                let t = TokenTable::build(&d);
+                let (fast, stats) = prefix_join_with_stats(&d, &t, thr, threads);
+                prop_assert_eq!(&fast, &all_pairs_scored(&d, &t, thr, 1));
+                prop_assert_eq!(stats.space_pruned, 0);
+            }
         }
 
         /// Longer, more overlapping records push candidates through the

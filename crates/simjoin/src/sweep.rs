@@ -8,10 +8,9 @@
 use crate::prefix::prefix_join;
 use crate::tokens::TokenTable;
 use crowder_types::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Likelihood threshold τ.
     pub threshold: f64,

@@ -18,14 +18,21 @@
 //! most frequent (least selective) token the window has admitted, so a
 //! cheap frontier means every earlier token was cheap too.
 //!
+//! Every constructor runs one interning pass: each record's selected
+//! fields are joined and normalized into two reused buffers, and each
+//! token occurrence costs one map lookup in a [`DictBuilder`], which
+//! allocates a `String` only per distinct token, deduplicates and
+//! counts document frequency on integer ids, and sorts the distinct
+//! tokens once at the end.
+//!
 //! Production paths hold *only* the id lists — on Product-scale corpora
 //! the string [`TokenSet`]s roughly double the table's memory while no
 //! hot path reads them. Tests and benchmarks that need the raw string
 //! sets (string-Jaccard oracles, pre-interning baselines) must construct
 //! the table with [`TokenTable::build_with_sets`].
 
-use crowder_text::{jaccard_ids, tokenize, TokenDict, TokenSet};
-use crowder_types::{Dataset, Pair, RecordId};
+use crowder_text::{jaccard_ids, tokenize, DictBuilder, TokenDict, TokenSet};
+use crowder_types::{normalize_into, Dataset, Pair, Record, RecordId};
 
 /// Cached interned id lists (and, optionally, string token sets) for
 /// every record of a dataset, indexed by [`RecordId`].
@@ -45,14 +52,24 @@ impl TokenTable {
     /// Tokenize every record's concatenated attribute text. Holds only
     /// the interned id lists (see [`TokenTable::build_with_sets`]).
     pub fn build(dataset: &Dataset) -> Self {
-        Self::from_sets(Self::record_sets(dataset), false)
+        Self::intern(dataset, |r| r.fields.iter().map(String::as_str))
     }
 
     /// [`TokenTable::build`], additionally retaining the string
     /// [`TokenSet`]s so [`TokenTable::set`] works — for tests and bench
-    /// baselines only; roughly doubles the table's memory.
+    /// baselines only; roughly doubles the table's memory. The sets are
+    /// tokenized separately from the interning pass, so string oracles
+    /// built on them stay independent of it.
     pub fn build_with_sets(dataset: &Dataset) -> Self {
-        Self::from_sets(Self::record_sets(dataset), true)
+        let sets = dataset
+            .records()
+            .iter()
+            .map(|r| tokenize(&r.joined_text()))
+            .collect();
+        TokenTable {
+            sets: Some(sets),
+            ..Self::build(dataset)
+        }
     }
 
     /// Tokenize only the selected attributes — the CrowdSQL-style
@@ -60,34 +77,34 @@ impl TokenTable {
     /// compares a *column*, not the whole record; Example 1's likelihoods
     /// are name-only Jaccard.
     pub fn build_on_attrs(dataset: &Dataset, attrs: &[usize]) -> Self {
-        let sets = dataset
-            .records()
-            .iter()
-            .map(|r| {
-                let text: Vec<&str> = attrs.iter().filter_map(|&a| r.field(a)).collect();
-                tokenize(&text.join(" "))
-            })
-            .collect();
-        Self::from_sets(sets, false)
+        Self::intern(dataset, |r| attrs.iter().filter_map(|&a| r.field(a)))
     }
 
-    fn record_sets(dataset: &Dataset) -> Vec<TokenSet> {
-        dataset
-            .records()
-            .iter()
-            .map(|r| tokenize(&r.joined_text()))
-            .collect()
-    }
-
-    /// Intern a prepared token-set collection (one entry per record, in
-    /// id order), keeping the string sets only when `retain_sets`.
-    fn from_sets(sets: Vec<TokenSet>, retain_sets: bool) -> Self {
-        let dict = TokenDict::build(&sets);
-        let ids = sets.iter().map(|s| dict.encode(s)).collect();
+    /// The one interning pass behind every constructor: join each
+    /// record's selected `fields` with spaces and normalize them into
+    /// two reused buffers, then feed the tokens to a [`DictBuilder`].
+    fn intern<'d, I>(dataset: &'d Dataset, fields: impl Fn(&'d Record) -> I) -> Self
+    where
+        I: Iterator<Item = &'d str>,
+    {
+        let mut builder = DictBuilder::new();
+        let (mut text, mut norm) = (String::new(), String::new());
+        for record in dataset.records() {
+            text.clear();
+            for (i, field) in fields(record).enumerate() {
+                if i > 0 {
+                    text.push(' ');
+                }
+                text.push_str(field);
+            }
+            normalize_into(&text, &mut norm);
+            builder.push(norm.split_whitespace());
+        }
+        let (dict, ids) = builder.finish();
         TokenTable {
             dict,
             ids,
-            sets: retain_sets.then_some(sets),
+            sets: None,
         }
     }
 

@@ -20,6 +20,25 @@
 //! * adaptive tier (this revision): **16,037** — the count filter and
 //!   truncation kill ~25x of the old candidate stage before any
 //!   per-pair work, with the result set bit-identical (1,425 pairs).
+//!
+//! The batch join's index is split by join side (each record probes
+//! only the partner source's postings), so its Product rows count no
+//! intra-source candidate and `space_pruned` reads 0. The adaptive
+//! level now weighs only the partner side's posting mass, which moves
+//! the other buckets too; results are unchanged. Before → after, as
+//! `[candidates, positional, space, signature, suffix, verified,
+//! results]`:
+//!
+//! * t = 0.3: `[6513, 199, 3332, 1452, 99, 1431, 1425]` →
+//!   `[3271, 89, 0, 1652, 99, 1431, 1425]`;
+//! * t = 0.5: `[2292, 265, 1078, 634, 6, 309, 302]` →
+//!   `[1503, 157, 0, 1031, 6, 309, 302]`;
+//! * t = 0.7: `[768, 187, 198, 376, 1, 6, 5]` →
+//!   `[768, 219, 0, 541, 1, 7, 5]` (one more candidate, killed before
+//!   by the count filter at a higher level, now reaches verification).
+//!
+//! The Restaurant rows (a self-join, one side) and every stream pin are
+//! unchanged: `crowder-stream`'s delta index is not split.
 
 use crowder_datagen::{product, restaurant, ProductConfig, RestaurantConfig};
 use crowder_simjoin::{
@@ -138,9 +157,9 @@ fn batch_funnels_are_pinned() {
         ("restaurant", 0.3, [4_131, 415, 0, 2_694, 172, 850, 850]),
         ("restaurant", 0.5, [435, 52, 0, 290, 0, 93, 93]),
         ("restaurant", 0.7, [2_696, 165, 0, 2_473, 0, 58, 58]),
-        ("product", 0.3, [6_513, 199, 3_332, 1_452, 99, 1_431, 1_425]),
-        ("product", 0.5, [2_292, 265, 1_078, 634, 6, 309, 302]),
-        ("product", 0.7, [768, 187, 198, 376, 1, 6, 5]),
+        ("product", 0.3, [3_271, 89, 0, 1_652, 99, 1_431, 1_425]),
+        ("product", 0.5, [1_503, 157, 0, 1_031, 6, 309, 302]),
+        ("product", 0.7, [768, 219, 0, 541, 1, 7, 5]),
     ];
     let restaurant = restaurant(&RestaurantConfig::default());
     let product = product(&ProductConfig::default());

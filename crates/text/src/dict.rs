@@ -14,6 +14,11 @@
 //! the record's prefix maximally selective (few other records share it).
 //! The dictionary is built once per corpus and amortized across every
 //! join call, instead of being re-derived per call.
+//!
+//! Every dictionary is built by one routine, [`DictBuilder`]: one map
+//! lookup per token occurrence, `String`s allocated only for distinct
+//! tokens, document frequencies counted on integer ids, and one sort of
+//! the distinct tokens at the end.
 
 use crate::tokenize::TokenSet;
 use std::collections::HashMap;
@@ -36,28 +41,11 @@ impl TokenDict {
     where
         I: IntoIterator<Item = &'a TokenSet>,
     {
-        let mut freq: HashMap<&str, u32> = HashMap::new();
-        let mut order: Vec<&str> = Vec::new();
+        let mut builder = DictBuilder::new();
         for set in sets {
-            for tok in set.tokens() {
-                freq.entry(tok.as_str())
-                    .and_modify(|f| *f += 1)
-                    .or_insert_with(|| {
-                        order.push(tok.as_str());
-                        1
-                    });
-            }
+            builder.push(set.tokens().iter().map(String::as_str));
         }
-        order.sort_unstable_by(|a, b| freq[a].cmp(&freq[b]).then_with(|| a.cmp(b)));
-        let mut ids = HashMap::with_capacity(order.len());
-        let mut tokens = Vec::with_capacity(order.len());
-        let mut freqs = Vec::with_capacity(order.len());
-        for (id, tok) in order.into_iter().enumerate() {
-            ids.insert(tok.to_string(), id as u32);
-            tokens.push(tok.to_string());
-            freqs.push(freq[tok]);
-        }
-        TokenDict { ids, tokens, freqs }
+        builder.finish().0
     }
 
     /// Id of `token`, if it occurred in the corpus.
@@ -97,6 +85,102 @@ impl TokenDict {
         let mut ids: Vec<u32> = set.tokens().iter().filter_map(|t| self.id(t)).collect();
         ids.sort_unstable();
         ids
+    }
+}
+
+/// One-pass interning of a document collection into a [`TokenDict`]
+/// and per-document id lists.
+///
+/// [`DictBuilder::push`] looks each token occurrence up once in a
+/// `HashMap` keyed by the token string (std's hasher: corpora can come
+/// from outside the program), allocating a `String` only for a token
+/// not seen before, and keeps the document as provisional
+/// first-appearance ids, deduplicated and counted toward document
+/// frequency on integers. [`DictBuilder::finish`] sorts the distinct
+/// tokens once by `(document frequency, token)` and remaps every
+/// document to the final rarest-first ids.
+#[derive(Debug, Clone, Default)]
+pub struct DictBuilder {
+    ids: HashMap<String, u32>,
+    freqs: Vec<u32>,
+    docs: Vec<Vec<u32>>,
+    /// The document being pushed, reused so each stored list is
+    /// allocated once at its deduplicated length.
+    scratch: Vec<u32>,
+}
+
+impl DictBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add one document: its tokens in any order, repeats allowed.
+    pub fn push<'t>(&mut self, tokens: impl IntoIterator<Item = &'t str>) {
+        let doc = &mut self.scratch;
+        doc.clear();
+        for tok in tokens {
+            doc.push(match self.ids.get(tok) {
+                Some(&id) => id,
+                None => {
+                    let id = self.freqs.len() as u32;
+                    self.ids.insert(tok.to_owned(), id);
+                    self.freqs.push(0);
+                    id
+                }
+            });
+        }
+        doc.sort_unstable();
+        doc.dedup();
+        for &id in doc.iter() {
+            self.freqs[id as usize] += 1;
+        }
+        self.docs.push(doc.clone());
+    }
+
+    /// The dictionary, with ids by ascending `(document frequency,
+    /// token)`, and every pushed document's ascending (rarest-first) id
+    /// list, in push order.
+    pub fn finish(self) -> (TokenDict, Vec<Vec<u32>>) {
+        let DictBuilder {
+            mut ids,
+            freqs,
+            mut docs,
+            ..
+        } = self;
+        let mut tokens = vec![String::new(); freqs.len()];
+        for (tok, &id) in &ids {
+            tokens[id as usize] = tok.clone();
+        }
+        let mut order: Vec<u32> = (0..freqs.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            freqs[a]
+                .cmp(&freqs[b])
+                .then_with(|| tokens[a].cmp(&tokens[b]))
+        });
+        let mut rank = vec![0u32; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            rank[old as usize] = new as u32;
+        }
+        for id in ids.values_mut() {
+            *id = rank[*id as usize];
+        }
+        for doc in &mut docs {
+            for id in doc.iter_mut() {
+                *id = rank[*id as usize];
+            }
+            doc.sort_unstable();
+        }
+        let dict = TokenDict {
+            ids,
+            tokens: order
+                .iter()
+                .map(|&old| std::mem::take(&mut tokens[old as usize]))
+                .collect(),
+            freqs: order.iter().map(|&old| freqs[old as usize]).collect(),
+        };
+        (dict, docs)
     }
 }
 
@@ -151,6 +235,28 @@ mod tests {
             assert_eq!(dict.id(dict.token(id)), Some(id));
         }
         assert_eq!(dict.id("missing"), None);
+    }
+
+    #[test]
+    fn builder_lists_match_encode() {
+        let mut builder = DictBuilder::new();
+        builder.push(["ipod", "apple", "shuffle", "apple"]);
+        builder.push([]);
+        builder.push(["nano", "ipod", "apple"]);
+        builder.push(["ipad", "apple"]);
+        let (dict, docs) = builder.finish();
+        let sets = [
+            tokenize("apple ipod shuffle"),
+            tokenize(""),
+            tokenize("apple ipod nano"),
+            tokenize("apple ipad"),
+        ];
+        let reference = TokenDict::build(&sets);
+        assert_eq!(dict.tokens, reference.tokens);
+        assert_eq!(dict.freqs, reference.freqs);
+        for (doc, set) in docs.iter().zip(&sets) {
+            assert_eq!(doc, &dict.encode(set));
+        }
     }
 
     #[test]

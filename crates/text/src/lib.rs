@@ -7,7 +7,8 @@
 //!   [`TokenSet`]s (the unit of the paper's `simjoin` likelihood), plus
 //!   character [`tokenize::qgrams`] for blocking indexes,
 //! * [`dict`] — corpus-wide token interning to frequency-ordered `u32`
-//!   ids ([`TokenDict`]), the substrate of the similarity-join hot path,
+//!   ids ([`TokenDict`], built in one pass by [`DictBuilder`]), the
+//!   substrate of the similarity-join hot path,
 //! * [`jaccard`](mod@jaccard) — Jaccard set similarity (the likelihood function of §2.1.1
 //!   and §7.1), over both string sets and interned id slices,
 //! * [`levenshtein`] — edit distance and its normalized similarity (one of
@@ -26,7 +27,7 @@ pub mod overlap;
 pub mod tokenize;
 
 pub use cosine::cosine_similarity;
-pub use dict::TokenDict;
+pub use dict::{DictBuilder, TokenDict};
 pub use features::{FeatureExtractor, SimilarityFn};
 pub use jaccard::{intersection_size_ids, jaccard, jaccard_ids, jaccard_strs};
 pub use levenshtein::{edit_distance, edit_similarity};

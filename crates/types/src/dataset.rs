@@ -5,7 +5,6 @@ use crate::error::{Error, Result};
 use crate::gold::GoldStandard;
 use crate::pair::Pair;
 use crate::record::{Record, RecordId, SourceId};
-use serde::{Deserialize, Serialize};
 
 /// Which record pairs are *candidates* for entity resolution.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// within one product feed is out of scope there. `PairSpace` captures
 /// that distinction so pair totals, recalls and likelihood sweeps agree
 /// with the paper's arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairSpace {
     /// All `n·(n−1)/2` unordered pairs are candidates.
     SelfJoin,
@@ -23,8 +22,32 @@ pub enum PairSpace {
     CrossSource(SourceId, SourceId),
 }
 
+impl PairSpace {
+    /// The join sides of `source`'s records: `(indexed, probed)`, the
+    /// side they are indexed under and the side whose records they are
+    /// compared against, or `None` if no candidate pair involves the
+    /// source.
+    ///
+    /// A self-join puts every record on side 0, probing side 0. A
+    /// cross-source join indexes its first source under side 0 and its
+    /// second under side 1, each probing the other, so no intra-source
+    /// pair is ever enumerated; `CrossSource(a, a)` is a self-join of
+    /// `a` alone. Two records from sources `s` and `t` form a candidate
+    /// pair iff `s` probes the side `t` is indexed under (equivalently,
+    /// the reverse) — the rule [`Dataset::is_candidate`] implements.
+    pub fn sides(self, source: SourceId) -> Option<(usize, usize)> {
+        match self {
+            PairSpace::SelfJoin => Some((0, 0)),
+            PairSpace::CrossSource(a, b) if a == b => (source == a).then_some((0, 0)),
+            PairSpace::CrossSource(a, _) if source == a => Some((0, 1)),
+            PairSpace::CrossSource(_, b) if source == b => Some((1, 0)),
+            PairSpace::CrossSource(..) => None,
+        }
+    }
+}
+
 /// A named table of records plus its ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Human-readable name, e.g. `"Restaurant"`.
     pub name: String,
@@ -136,6 +159,9 @@ impl Dataset {
             }
             PairSpace::CrossSource(a, b) => {
                 let na = self.records.iter().filter(|r| r.source == a).count();
+                if a == b {
+                    return na * na.saturating_sub(1) / 2;
+                }
                 let nb = self.records.iter().filter(|r| r.source == b).count();
                 na * nb
             }
@@ -202,6 +228,44 @@ mod tests {
         assert_eq!(pairs, vec![Pair::of(0, 2), Pair::of(1, 2)]);
         assert!(!d.is_candidate(&Pair::of(0, 1)));
         assert!(d.is_candidate(&Pair::of(1, 2)));
+    }
+
+    #[test]
+    fn sides_agree_with_is_candidate() {
+        let spaces = [
+            PairSpace::SelfJoin,
+            PairSpace::CrossSource(SourceId(0), SourceId(1)),
+            PairSpace::CrossSource(SourceId(1), SourceId(0)),
+            PairSpace::CrossSource(SourceId(0), SourceId(0)),
+            PairSpace::CrossSource(SourceId(2), SourceId(1)),
+        ];
+        for space in spaces {
+            // Two records from each of four sources, so intra-source
+            // pairs are checked too.
+            let mut d = Dataset::new("t", vec!["x".into()], space);
+            for r in 0..8u8 {
+                d.push_record(SourceId(r / 2), vec![format!("{r}")])
+                    .unwrap();
+            }
+            let sides = |r: u32| space.sides(d.records()[r as usize].source);
+            for i in 0..8u32 {
+                for j in (i + 1)..8 {
+                    let by_sides = match (sides(i), sides(j)) {
+                        (Some((xi, pi)), Some((xj, pj))) => {
+                            assert_eq!(pi == xj, pj == xi, "{space:?}: sides not symmetric");
+                            pi == xj
+                        }
+                        _ => false,
+                    };
+                    assert_eq!(
+                        by_sides,
+                        d.is_candidate(&Pair::of(i, j)),
+                        "{space:?}: records {i} and {j}"
+                    );
+                }
+            }
+            assert_eq!(d.candidate_pairs().count(), d.candidate_pair_count());
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::pair::Pair;
 use crate::record::RecordId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 /// The ground truth for a dataset: which record pairs refer to the same
@@ -12,7 +11,7 @@ use std::collections::{BTreeMap, HashSet};
 /// Restaurant, 1097 for Product), so the gold standard is pair-oriented;
 /// it can also be built from entity clusters, expanding each cluster of
 /// size `s` into `s·(s−1)/2` pairs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GoldStandard {
     matches: HashSet<Pair>,
 }

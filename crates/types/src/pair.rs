@@ -2,7 +2,6 @@
 
 use crate::error::{Error, Result};
 use crate::record::RecordId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 /// Pairs are the currency of the whole system: the machine pass scores
 /// them, HIT generation covers them, the crowd verifies them and the gold
 /// standard labels them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pair {
     lo: RecordId,
     hi: RecordId,
@@ -81,7 +80,7 @@ impl fmt::Display for Pair {
 ///
 /// Likelihoods live in `[0, 1]`; for the paper's `simjoin` technique the
 /// likelihood *is* the Jaccard similarity of the records' token sets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredPair {
     /// The candidate pair.
     pub pair: Pair,

@@ -1,13 +1,12 @@
 //! Records and their identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a record within one [`Dataset`](crate::Dataset).
 ///
 /// Ids are assigned contiguously from zero in insertion order, so they can
 /// be used directly as vector indices by the graph and simulation layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u32);
 
 impl RecordId {
@@ -36,7 +35,7 @@ impl From<u32> for RecordId {
 /// integrated datasets (Product = abt ∪ buy) use one id per origin and
 /// restrict the candidate [`PairSpace`](crate::PairSpace) to cross-source
 /// pairs, exactly as the paper counts `1081 * 1092` Product pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId(pub u8);
 
 impl fmt::Display for SourceId {
@@ -52,7 +51,7 @@ impl fmt::Display for SourceId {
 /// consume records through token sets or similarity features, never
 /// through typed columns, which mirrors the paper's treatment (§7.1
 /// concatenates all attribute values into one token set).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Dense id within the dataset.
     pub id: RecordId,

@@ -7,7 +7,7 @@
 //! | row | measured | bound |
 //! |---|---|---|
 //! | churn | churn cost per op ÷ insert-only cost per arrival | 10 |
-//! | WAL | durable engine cost per op ÷ in-memory cost per op | 3 |
+//! | WAL | logged engine cost per op ÷ log-less engine cost per op | 3 |
 //! | installed recorder | recorded stream ÷ paused stream | 1.05 |
 //! | no recorder | always-live instrument cost ÷ paused stream | 0.005 |
 //!
@@ -249,41 +249,6 @@ fn durable_script(dataset: &Dataset) -> Vec<WalOp> {
     script
 }
 
-/// Apply one logged op to a plain in-memory resolver: what
-/// `DurableResolver::apply` does, minus the logging.
-fn apply_plain(resolver: &mut IncrementalResolver, op: &WalOp) {
-    match op {
-        WalOp::Insert { source, fields } => {
-            resolver
-                .insert(SourceId(*source), fields.clone())
-                .expect("script op is legal");
-        }
-        WalOp::Remove(record) => {
-            resolver.remove(*record).expect("script op is legal");
-        }
-        WalOp::Update { record, fields } => {
-            resolver
-                .update(*record, fields.clone())
-                .expect("script op is legal");
-        }
-        WalOp::Retract(pair) => {
-            resolver.retract(*pair);
-        }
-        WalOp::Evidence {
-            pair,
-            verdict,
-            weight,
-        } => {
-            resolver.record_evidence(*pair, *verdict, *weight);
-        }
-        WalOp::EpochRerank => resolver.rerank_now(),
-        WalOp::Flush => {
-            resolver.regenerate_hits().expect("k is valid");
-        }
-        WalOp::Weights(_) => {} // engine-level serving state; no resolver effect
-    }
-}
-
 /// A directory under the system temp dir, unique per process and per
 /// call, removed on drop (panics included).
 struct ScratchDir(PathBuf);
@@ -306,16 +271,20 @@ impl Drop for ScratchDir {
     }
 }
 
-/// The [`durable_script`] on a [`DurableResolver`] logging to a real
-/// filesystem directory at the default group-commit cadence, over the
-/// same script on a plain in-memory resolver.
+/// The [`durable_script`] through [`DurableResolver::apply`] on an
+/// engine logging to a real filesystem directory at the default
+/// group-commit cadence, over the same script through the same method
+/// on an engine without a log ([`DurableResolver::in_memory`]). The
+/// ratio is the price of WAL encoding, group-commit fsyncs and
+/// checkpoints alone.
 fn wal_overhead(dataset: &Dataset) -> f64 {
     let script = durable_script(dataset);
 
-    let mut plain = IncrementalResolver::like(dataset, stream_config());
+    let mut in_memory =
+        DurableResolver::<FsDir>::in_memory(IncrementalResolver::like(dataset, stream_config()));
     let started = Instant::now();
     for op in &script {
-        apply_plain(&mut plain, op);
+        in_memory.apply(op.clone()).expect("script op is legal");
     }
     let mem_ns = started.elapsed().as_nanos();
 

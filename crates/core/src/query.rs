@@ -14,33 +14,29 @@
 //! those attributes → HIT generation → simulated crowd → EM
 //! aggregation) and returns the matched id pairs.
 
-use crate::workflow::Aggregation;
-use crowder_aggregate::{majority_vote, DawidSkene, Vote};
-use crowder_crowd::{simulate, CrowdConfig, WorkerPopulation};
-use crowder_hitgen::{generate_pair_hits, ClusterGenerator, Hit, TwoTieredGenerator};
-use crowder_simjoin::{prefix_join, TokenTable};
+use crate::workflow::{run_stages, Aggregation, HitStrategy, HybridConfig};
+use crowder_crowd::{CrowdConfig, WorkerPopulation};
+use crowder_simjoin::TokenTable;
 use crowder_types::{Dataset, Error, Pair, Result, ScoredPair};
 
-/// A fuzzy-match self-join query (`WHERE p.attr ~= q.attr`).
+/// A fuzzy-match self-join query (`WHERE p.attr ~= q.attr`): the
+/// compared attributes and the [`HybridConfig`] the workflow runs with.
 #[derive(Debug, Clone)]
 pub struct CrowdJoin {
     attrs: Vec<String>,
-    threshold: f64,
-    cluster_size: usize,
-    pair_based: Option<usize>,
-    crowd: CrowdConfig,
-    aggregation: Aggregation,
+    config: HybridConfig,
 }
 
 impl Default for CrowdJoin {
+    /// The batch workflow's defaults ([`HybridConfig::default`]) at
+    /// threshold 0.3.
     fn default() -> Self {
         CrowdJoin {
             attrs: Vec::new(),
-            threshold: 0.3,
-            cluster_size: 10,
-            pair_based: None,
-            crowd: CrowdConfig::default(),
-            aggregation: Aggregation::DawidSkene,
+            config: HybridConfig {
+                likelihood_threshold: 0.3,
+                ..HybridConfig::default()
+            },
         }
     }
 }
@@ -76,34 +72,35 @@ impl CrowdJoin {
         self
     }
 
-    /// Likelihood threshold of the machine pass (default 0.3).
+    /// Likelihood threshold of the machine pass (default 0.3). A
+    /// threshold outside `[0, 1]` fails at `run` time.
     pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
+        self.config.likelihood_threshold = threshold;
         self
     }
 
     /// Cluster-size threshold `k` for cluster-based HITs (default 10).
     pub fn cluster_size(mut self, k: usize) -> Self {
-        self.cluster_size = k;
+        self.config.cluster_size = k;
         self
     }
 
     /// Use pair-based HITs with the given batch size instead of the
     /// default cluster-based generation.
     pub fn pair_based(mut self, per_hit: usize) -> Self {
-        self.pair_based = Some(per_hit);
+        self.config.strategy = HitStrategy::PairBased { per_hit };
         self
     }
 
     /// Override the crowd-marketplace configuration.
     pub fn crowd(mut self, config: CrowdConfig) -> Self {
-        self.crowd = config;
+        self.config.crowd = config;
         self
     }
 
     /// Aggregate with majority vote instead of Dawid–Skene EM.
     pub fn majority_vote(mut self) -> Self {
-        self.aggregation = Aggregation::MajorityVote;
+        self.config.aggregation = Aggregation::MajorityVote;
         self
     }
 
@@ -130,38 +127,13 @@ impl CrowdJoin {
         } else {
             TokenTable::build_on_attrs(dataset, &attr_idx)
         };
-        let scored = prefix_join(dataset, &tokens, self.threshold, 0);
-        let pairs: Vec<Pair> = scored.iter().map(|s| s.pair).collect();
-
-        let hits: Vec<Hit> = match self.pair_based {
-            Some(per_hit) => generate_pair_hits(&pairs, per_hit)?,
-            None => TwoTieredGenerator::new().generate(&pairs, self.cluster_size)?,
-        };
-        let sim = simulate(&hits, &dataset.gold, population, &self.crowd)?;
-        let votes: Vec<Vote> = sim
-            .labeled_triples()
-            .into_iter()
-            .map(|(pair, worker, verdict)| (pair, worker.0 as usize, verdict))
-            .collect();
-        let ranked = if votes.is_empty() {
-            Vec::new()
-        } else {
-            match self.aggregation {
-                Aggregation::MajorityVote => majority_vote(&votes),
-                Aggregation::DawidSkene => DawidSkene::default().run(&votes)?.ranked,
-            }
-        };
-        let matches = ranked
-            .iter()
-            .filter(|sp| sp.likelihood > 0.5)
-            .map(|sp| sp.pair)
-            .collect();
+        let outcome = run_stages(dataset, &tokens, population, &self.config)?;
         Ok(CrowdJoinResult {
-            matches,
-            ranked,
-            candidates: pairs.len(),
-            hits: hits.len(),
-            cost_dollars: sim.cost_dollars,
+            matches: outcome.matching_pairs(),
+            candidates: outcome.candidate_pairs.len(),
+            hits: outcome.hits.len(),
+            cost_dollars: outcome.sim.cost_dollars,
+            ranked: outcome.ranked,
         })
     }
 }
@@ -204,6 +176,27 @@ mod tests {
             .on_attribute("no_such_column")
             .run(&dataset, &crowd());
         assert!(matches!(err, Err(Error::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn out_of_range_threshold_is_rejected() {
+        let dataset = table1();
+        for threshold in [-0.1, 1.5, f64::NAN] {
+            let err = CrowdJoin::new()
+                .on_attribute("product_name")
+                .threshold(threshold)
+                .run(&dataset, &crowd());
+            assert!(
+                matches!(
+                    err,
+                    Err(Error::InvalidConfig {
+                        param: "likelihood_threshold",
+                        ..
+                    })
+                ),
+                "{threshold}: {err:?}"
+            );
+        }
     }
 
     #[test]

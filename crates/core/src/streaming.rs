@@ -27,19 +27,16 @@
 //! delivered in the next round even when their HITs were retired by a
 //! regeneration in between — no crowd work is ever dropped.
 
-use crowder_aggregate::{majority_vote, DawidSkene, Vote};
+use crowder_aggregate::{DawidSkene, Vote};
 use crowder_crowd::{
     labeled_triples_of, simulate_session, AssignmentRecord, CrowdConfig, SessionState,
     WorkerPopulation,
 };
 use crowder_durable::{DurabilityConfig, DurableResolver, FsDir};
-use crowder_hitgen::{Hit, TwoTieredConfig};
+use crowder_hitgen::Hit;
 use crowder_simjoin::JoinStats;
-use crowder_stream::{
-    vote_weight, EvidenceConfig, EvidenceReport, HitDelta, IncrementalResolver, InsertReport,
-    RemoveReport, StreamConfig,
-};
-use crowder_types::{Dataset, Error, Pair, RecordId, Result, ScoredPair, SourceId};
+use crowder_stream::{vote_weight, EvidenceConfig, IncrementalResolver, StreamConfig};
+use crowder_types::{Dataset, Error, Pair, RecordId, Result, ScoredPair};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -75,13 +72,15 @@ impl FaultPlan {
 /// Opt-in durability for a streaming run: where the write-ahead log
 /// and snapshots live, and how often they are synced.
 ///
-/// With this set, every resolver mutation the workflow performs —
-/// arrivals, fault-plan deletions and retractions, evidence votes,
-/// HIT flushes, worker-weight refreshes — is logged through a
-/// [`DurableResolver`] before the round proceeds, and the run ends
+/// Every resolver mutation the workflow performs — arrivals, fault-plan
+/// deletions and retractions, evidence votes, HIT flushes, worker-weight
+/// refreshes — goes through one [`DurableResolver`]. With this set, the
+/// engine logs each of them before the round proceeds and the run ends
 /// with a checkpoint, so a crashed process recovers via
-/// [`DurableResolver::recover`] to a state bit-for-bit consistent
-/// with the acknowledged prefix of the run.
+/// [`DurableResolver::recover`] to a state bit-for-bit consistent with
+/// the acknowledged prefix of the run. Without it the engine is
+/// [`DurableResolver::in_memory`]: the same calls, with no WAL frame
+/// encoded, nothing synced and no checkpoint written.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
     /// Directory for `wal.log` and snapshots. Created if absent; must
@@ -101,80 +100,6 @@ impl DurabilityOptions {
     }
 }
 
-/// The workflow's mutation funnel: either a bare resolver or a
-/// durable one that logs every call. Reads go through
-/// [`view`](Engine::view) — mutating the resolver around the log
-/// would break the recovery contract.
-enum Engine {
-    Plain(Box<IncrementalResolver>),
-    Durable(Box<DurableResolver<FsDir>>),
-}
-
-impl Engine {
-    fn view(&self) -> &IncrementalResolver {
-        match self {
-            Engine::Plain(r) => r,
-            Engine::Durable(d) => d.resolver(),
-        }
-    }
-
-    fn insert(&mut self, source: SourceId, fields: Vec<String>) -> Result<InsertReport> {
-        match self {
-            Engine::Plain(r) => r.insert(source, fields),
-            Engine::Durable(d) => d.insert(source, fields),
-        }
-    }
-
-    fn remove(&mut self, record: RecordId) -> Result<RemoveReport> {
-        match self {
-            Engine::Plain(r) => r.remove(record),
-            Engine::Durable(d) => d.remove(record),
-        }
-    }
-
-    fn retract(&mut self, pair: Pair) -> Result<EvidenceReport> {
-        match self {
-            Engine::Plain(r) => Ok(r.retract(pair)),
-            Engine::Durable(d) => d.retract(pair),
-        }
-    }
-
-    fn record_evidence(
-        &mut self,
-        pair: Pair,
-        verdict: bool,
-        weight: f64,
-    ) -> Result<EvidenceReport> {
-        match self {
-            Engine::Plain(r) => Ok(r.record_evidence(pair, verdict, weight)),
-            Engine::Durable(d) => d.record_evidence(pair, verdict, weight),
-        }
-    }
-
-    fn regenerate_hits(&mut self) -> Result<HitDelta> {
-        match self {
-            Engine::Plain(r) => r.regenerate_hits(),
-            Engine::Durable(d) => d.regenerate_hits(),
-        }
-    }
-
-    fn set_worker_weights(&mut self, weights: Vec<(u64, f64)>) -> Result<()> {
-        match self {
-            Engine::Plain(_) => Ok(()),
-            Engine::Durable(d) => d.set_worker_weights(weights),
-        }
-    }
-
-    /// Finish the run: a durable engine syncs and checkpoints so the
-    /// directory recovers instantly; both variants yield the resolver.
-    fn finish(self) -> Result<IncrementalResolver> {
-        match self {
-            Engine::Plain(r) => Ok(*r),
-            Engine::Durable(d) => d.close(),
-        }
-    }
-}
-
 /// Configuration of the streaming workflow.
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
@@ -182,8 +107,6 @@ pub struct StreamingConfig {
     pub likelihood_threshold: f64,
     /// Cluster-size threshold `k`.
     pub cluster_size: usize,
-    /// Two-tiered generator tuning.
-    pub two_tiered: TwoTieredConfig,
     /// Records ingested per round.
     pub batch_size: usize,
     /// Crowd-platform parameters; each round derives its seed from
@@ -215,7 +138,6 @@ impl Default for StreamingConfig {
         StreamingConfig {
             likelihood_threshold: 0.2,
             cluster_size: 10,
-            two_tiered: TwoTieredConfig::default(),
             batch_size: 64,
             crowd: CrowdConfig::default(),
             aggregation: Aggregation::DawidSkene,
@@ -372,7 +294,6 @@ pub fn run_streaming(
         StreamConfig {
             threshold: config.likelihood_threshold,
             cluster_size: config.cluster_size,
-            two_tiered: config.two_tiered.clone(),
             rebuild_min_interval: config.rebuild_min_interval,
             evidence: config.evidence,
         },
@@ -381,12 +302,8 @@ pub fn run_streaming(
     // system; the crowd simulator needs them up front.
     *resolver.gold_mut() = dataset.gold.clone();
     let mut engine = match &config.durability {
-        None => Engine::Plain(Box::new(resolver)),
-        Some(opts) => Engine::Durable(Box::new(DurableResolver::create_with(
-            FsDir::new(&opts.dir)?,
-            resolver,
-            opts.config,
-        )?)),
+        None => DurableResolver::in_memory(resolver),
+        Some(opts) => DurableResolver::create_with(FsDir::new(&opts.dir)?, resolver, opts.config)?,
     };
 
     let mut rounds = Vec::new();
@@ -410,7 +327,7 @@ pub fn run_streaming(
         let carried_cost = carried.len() as f64 * per_assignment_cost;
 
         // Stage 1: ingest the arrivals (delta join + clustering).
-        let epochs_before = engine.view().epochs();
+        let epochs_before = engine.resolver().epochs();
         let mut join_stats = JoinStats::default();
         let mut new_pairs = 0usize;
         let mut cluster_merges = 0usize;
@@ -448,7 +365,7 @@ pub fn run_streaming(
                 }
             }
         }
-        let dirty_clusters = engine.view().dirty_clusters();
+        let dirty_clusters = engine.resolver().dirty_clusters();
 
         // Stage 3: regenerate HITs only where the clustering moved.
         let delta = {
@@ -460,7 +377,7 @@ pub fn run_streaming(
             .iter()
             .map(|&id| {
                 engine
-                    .view()
+                    .resolver()
                     .live_hits()
                     .get(id)
                     .expect("created ids are live")
@@ -522,7 +439,7 @@ pub fn run_streaming(
             retracted,
             new_pairs,
             join_stats,
-            index_rebuilds: engine.view().epochs() - epochs_before,
+            index_rebuilds: engine.resolver().epochs() - epochs_before,
             dirty_clusters,
             hits_retired: delta.retired.len(),
             hits_created: delta.created.len(),
@@ -535,8 +452,8 @@ pub fn run_streaming(
             cluster_splits,
             cost_dollars: sim.cost_dollars + carried_cost,
             elapsed_minutes: sim.elapsed_minutes,
-            corpus: engine.view().len(),
-            cumulative_pairs: engine.view().pairs().len(),
+            corpus: engine.resolver().len(),
+            cumulative_pairs: engine.resolver().pairs().len(),
         });
         // Evidence may have dirtied clusters (merges from commits,
         // splits from decommits/vetoes); the next round's flush — or
@@ -563,17 +480,10 @@ pub fn run_streaming(
         }
     }
     let final_delta = engine.regenerate_hits()?;
-    let resolver = engine.finish()?;
+    let resolver = engine.close()?;
 
     // Stage 6: aggregate every round's verdicts into one ranked list.
-    let ranked = if votes.is_empty() {
-        Vec::new()
-    } else {
-        match config.aggregation {
-            Aggregation::MajorityVote => majority_vote(&votes),
-            Aggregation::DawidSkene => DawidSkene::default().run(&votes)?.ranked,
-        }
-    };
+    let ranked = config.aggregation.rank(&votes)?;
 
     Ok(StreamingOutcome {
         rounds,
@@ -800,7 +710,6 @@ mod tests {
         let stream = StreamConfig {
             threshold: cfg.likelihood_threshold,
             cluster_size: cfg.cluster_size,
-            two_tiered: cfg.two_tiered.clone(),
             rebuild_min_interval: cfg.rebuild_min_interval,
             evidence: cfg.evidence,
         };

@@ -33,6 +33,20 @@ pub enum Aggregation {
     DawidSkene,
 }
 
+impl Aggregation {
+    /// The voted pairs ranked by aggregated posterior; no votes rank
+    /// nothing.
+    pub fn rank(self, votes: &[Vote]) -> Result<Vec<ScoredPair>> {
+        if votes.is_empty() {
+            return Ok(Vec::new());
+        }
+        Ok(match self {
+            Aggregation::MajorityVote => majority_vote(votes),
+            Aggregation::DawidSkene => DawidSkene::default().run(votes)?.ranked,
+        })
+    }
+}
+
 /// Full workflow configuration.
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
@@ -99,6 +113,17 @@ pub fn run_hybrid(
     population: &WorkerPopulation,
     config: &HybridConfig,
 ) -> Result<HybridOutcome> {
+    run_stages(dataset, &TokenTable::build(dataset), population, config)
+}
+
+/// Stages 1–4 of Figure 1 with the machine pass over `tokens`, which
+/// may cover only some attributes ([`CrowdJoin`](crate::CrowdJoin)).
+pub(crate) fn run_stages(
+    dataset: &Dataset,
+    tokens: &TokenTable,
+    population: &WorkerPopulation,
+    config: &HybridConfig,
+) -> Result<HybridOutcome> {
     if !(0.0..=1.0).contains(&config.likelihood_threshold) {
         return Err(Error::InvalidConfig {
             param: "likelihood_threshold",
@@ -108,10 +133,9 @@ pub fn run_hybrid(
     // Stage 1: machine-based likelihood + pruning, through the filtered
     // PPJoin+ engine (identical output to the exhaustive pass, but the
     // filters skip most comparisons at any positive threshold).
-    let tokens = TokenTable::build(dataset);
     let candidate_pairs = prefix_join(
         dataset,
-        &tokens,
+        tokens,
         config.likelihood_threshold,
         config.similarity_threads,
     );
@@ -134,14 +158,7 @@ pub fn run_hybrid(
         .into_iter()
         .map(|(pair, worker, verdict)| (pair, worker.0 as usize, verdict))
         .collect();
-    let ranked = if votes.is_empty() {
-        Vec::new()
-    } else {
-        match config.aggregation {
-            Aggregation::MajorityVote => majority_vote(&votes),
-            Aggregation::DawidSkene => DawidSkene::default().run(&votes)?.ranked,
-        }
-    };
+    let ranked = config.aggregation.rank(&votes)?;
 
     Ok(HybridOutcome {
         candidate_pairs,

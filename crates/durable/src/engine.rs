@@ -1,10 +1,15 @@
-//! The durable resolver: an [`IncrementalResolver`] whose every
-//! mutation is written ahead to a log, checkpointed into snapshots,
-//! and recoverable after a crash at any byte.
+//! The durable resolver: the one mutation path over an
+//! [`IncrementalResolver`]. With a log, every mutation is written ahead
+//! to it, checkpointed into snapshots, and recoverable after a crash at
+//! any byte; without one ([`DurableResolver::in_memory`]) the same
+//! methods apply and return.
 //!
 //! The engine follows **apply-then-log**: a mutation is applied to
 //! the in-memory resolver first and logged only if it succeeded, so
-//! the WAL replays cleanly by construction. Group commit batches
+//! the WAL replays cleanly by construction. Recovery replays through
+//! [`DurableResolver::apply`] on an engine whose log is not yet
+//! attached, so a replayed operation runs exactly the code the live
+//! one ran. Group commit batches
 //! frames ([`DurabilityConfig::sync_every_ops`]); snapshots are taken
 //! at flush boundaries ([`DurableResolver::regenerate_hits`]) once
 //! [`DurabilityConfig::snapshot_every_ops`] operations have been
@@ -60,23 +65,52 @@ pub struct RecoveryReport {
     pub last_seq: u64,
 }
 
-/// An [`IncrementalResolver`] with a write-ahead log and snapshots in
-/// a [`Dir`]. All mutations go through this wrapper; reads go through
+/// An [`IncrementalResolver`] and its worker-weight table, with or
+/// without a write-ahead log and snapshots in a [`Dir`]. All mutations
+/// go through this wrapper; reads go through
 /// [`resolver`](Self::resolver).
+///
+/// An engine made by [`create`](Self::create),
+/// [`create_with`](Self::create_with) or [`recover`](Self::recover)
+/// logs every mutation. One made by [`in_memory`](Self::in_memory) has
+/// no log: a mutation applies and returns, with no WAL encoding and no
+/// copy of its fields; [`sync`](Self::sync) and
+/// [`checkpoint`](Self::checkpoint) do nothing; [`close`](Self::close)
+/// hands the resolver back. Both kinds run the same mutation methods, so
+/// a logged engine and a log-less one fed the same operations reach the
+/// same [`StateDigest`].
 #[derive(Debug)]
 pub struct DurableResolver<D: Dir + Clone> {
     resolver: IncrementalResolver,
-    wal: WalWriter<D>,
-    dir: D,
-    config: DurabilityConfig,
     /// Engine-level serving state: `(worker, weight)`, sorted by
     /// worker id. Snapshot-carried so recovered engines weigh
     /// post-crash votes identically.
     weights: Vec<(u64, f64)>,
+    /// The log, absent on an in-memory engine.
+    log: Option<Log<D>>,
+}
+
+/// The durable half of an engine: where it logs and how often it syncs
+/// and checkpoints.
+#[derive(Debug)]
+struct Log<D: Dir + Clone> {
+    wal: WalWriter<D>,
+    dir: D,
+    config: DurabilityConfig,
     ops_since_snapshot: usize,
 }
 
 impl<D: Dir + Clone> DurableResolver<D> {
+    /// An engine without a log around `resolver`: nothing it does
+    /// touches a [`Dir`].
+    pub fn in_memory(resolver: IncrementalResolver) -> Self {
+        DurableResolver {
+            resolver,
+            weights: Vec::new(),
+            log: None,
+        }
+    }
+
     /// Initialize a fresh durable resolver in an empty `dir`: writes
     /// snapshot 0 of the empty resolver and an empty WAL. Errors if
     /// the directory already holds a log.
@@ -108,34 +142,38 @@ impl<D: Dir + Clone> DurableResolver<D> {
         }
         write_snapshot(&dir, 0, &resolver.export_state()?, &[])?;
         let wal = WalWriter::create(dir.clone(), 0)?;
-        Ok(DurableResolver {
-            resolver,
+        let mut engine = Self::in_memory(resolver);
+        engine.log = Some(Log {
             wal,
             dir,
             config,
-            weights: Vec::new(),
             ops_since_snapshot: 0,
-        })
+        });
+        Ok(engine)
     }
 
     /// Shut down cleanly: make every logged operation durable and
     /// return the inner resolver. If the resolver is at a flush
     /// boundary a final checkpoint is written too, so the directory
-    /// recovers instantly (snapshot only, empty log).
+    /// recovers instantly (snapshot only, empty log). An in-memory
+    /// engine just returns its resolver.
     pub fn close(mut self) -> Result<IncrementalResolver> {
-        self.wal.flush()?;
-        if self.resolver.export_state().is_ok() {
-            self.checkpoint()?;
+        if self.log.is_some() {
+            self.sync()?;
+            if self.resolver.dirty_clusters() == 0 {
+                self.checkpoint()?;
+            }
         }
         Ok(self.resolver)
     }
 
     /// Recover from whatever a crashed (or cleanly stopped) engine
     /// left in `dir`: validate the WAL, truncate its torn tail, load
-    /// the newest intact snapshot, and replay the log suffix. The
-    /// recovered engine's future behavior is bit-for-bit identical to
-    /// an engine that executed operations `1..=last_seq` and never
-    /// crashed.
+    /// the newest intact snapshot, and replay the log suffix through
+    /// [`apply`](Self::apply) on an engine without a log, then attach
+    /// the log. The recovered engine's future behavior is bit-for-bit
+    /// identical to an engine that executed operations `1..=last_seq`
+    /// and never crashed.
     pub fn recover(
         dir: D,
         stream: StreamConfig,
@@ -147,43 +185,42 @@ impl<D: Dir + Clone> DurableResolver<D> {
             dir.truncate(WAL_NAME, contents.valid_len)?;
             dir.sync(WAL_NAME)?;
         }
-        let (snap_seq, state, mut weights) = load_latest_snapshot(&dir)?.ok_or_else(|| {
+        let (snap_seq, state, weights) = load_latest_snapshot(&dir)?.ok_or_else(|| {
             Error::InvalidData("recover: no intact snapshot in the directory".into())
         })?;
         let mut resolver = IncrementalResolver::import_state(stream, state)?;
         resolver.compact_index();
+        let mut engine = Self::in_memory(resolver);
+        engine.weights = weights;
+        let last_seq = contents.last_seq().max(snap_seq);
+        let torn_bytes = contents.torn_bytes;
         let mut replayed = 0;
-        for (seq, op) in &contents.frames {
-            if *seq <= snap_seq {
+        for (seq, op) in contents.frames {
+            if seq <= snap_seq {
                 continue;
             }
-            replay(&mut resolver, &mut weights, op).map_err(|e| {
+            engine.apply(op).map_err(|e| {
                 Error::InvalidData(format!("recover: replay of op {seq} failed: {e}"))
             })?;
             replayed += 1;
         }
-        let last_seq = contents.last_seq().max(snap_seq);
         let wal = WalWriter::resume(dir.clone(), last_seq)?;
+        engine.log = Some(Log {
+            wal,
+            dir,
+            config,
+            ops_since_snapshot: replayed,
+        });
         crowder_obs::counter!("durable.recovery.runs").incr();
         crowder_obs::counter!("durable.recovery.replayed_frames").add(replayed as u64);
-        crowder_obs::counter!("durable.recovery.torn_bytes").add(contents.torn_bytes);
+        crowder_obs::counter!("durable.recovery.torn_bytes").add(torn_bytes);
         let report = RecoveryReport {
             snapshot_seq: snap_seq,
             replayed,
-            torn_bytes: contents.torn_bytes,
+            torn_bytes,
             last_seq,
         };
-        Ok((
-            DurableResolver {
-                resolver,
-                wal,
-                dir,
-                config,
-                weights,
-                ops_since_snapshot: replayed,
-            },
-            report,
-        ))
+        Ok((engine, report))
     }
 
     /// The underlying resolver, read-only. Mutations must go through
@@ -197,37 +234,51 @@ impl<D: Dir + Clone> DurableResolver<D> {
         &self.weights
     }
 
-    /// Sequence number of the last logged operation.
+    /// Sequence number of the last logged operation (0 without a log).
     pub fn last_seq(&self) -> u64 {
-        self.wal.next_seq() - 1
+        self.log.as_ref().map_or(0, |log| log.wal.next_seq() - 1)
     }
 
     /// Logged operations not yet made durable by a flush.
     pub fn unsynced_ops(&self) -> usize {
-        self.wal.buffered()
+        self.log.as_ref().map_or(0, |log| log.wal.buffered())
     }
 
-    fn log(&mut self, op: WalOp) -> Result<u64> {
-        let seq = self.wal.log(&op);
-        self.ops_since_snapshot += 1;
-        if self.wal.buffered() >= self.config.sync_every_ops {
-            self.wal.flush()?;
+    /// A copy of `value` for the log, or `None` without a log.
+    fn for_log<T: Clone>(&self, value: &T) -> Option<T> {
+        self.log.as_ref().map(|_| value.clone())
+    }
+
+    fn log(&mut self, op: WalOp) -> Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        log.wal.log(&op);
+        log.ops_since_snapshot += 1;
+        if log.wal.buffered() >= log.config.sync_every_ops {
+            log.wal.flush()?;
         }
-        Ok(seq)
+        Ok(())
     }
 
     /// Durably flush every logged-but-buffered operation now.
     pub fn sync(&mut self) -> Result<()> {
-        self.wal.flush()
+        match &mut self.log {
+            Some(log) => log.wal.flush(),
+            None => Ok(()),
+        }
     }
 
     /// A record arrival (logged).
     pub fn insert(&mut self, source: SourceId, fields: Vec<String>) -> Result<InsertReport> {
-        let report = self.resolver.insert(source, fields.clone())?;
-        self.log(WalOp::Insert {
-            source: source.0,
-            fields,
-        })?;
+        let logged = self.for_log(&fields);
+        let report = self.resolver.insert(source, fields)?;
+        if let Some(fields) = logged {
+            self.log(WalOp::Insert {
+                source: source.0,
+                fields,
+            })?;
+        }
         Ok(report)
     }
 
@@ -249,8 +300,11 @@ impl<D: Dir + Clone> DurableResolver<D> {
 
     /// An in-place correction (logged as one operation).
     pub fn update(&mut self, record: RecordId, fields: Vec<String>) -> Result<UpdateReport> {
-        let report = self.resolver.update(record, fields.clone())?;
-        self.log(WalOp::Update { record, fields })?;
+        let logged = self.for_log(&fields);
+        let report = self.resolver.update(record, fields)?;
+        if let Some(fields) = logged {
+            self.log(WalOp::Update { record, fields })?;
+        }
         Ok(report)
     }
 
@@ -284,8 +338,7 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// Explicit dictionary re-rank + index rebuild (logged).
     pub fn rerank_now(&mut self) -> Result<()> {
         self.resolver.rerank_now();
-        self.log(WalOp::EpochRerank)?;
-        Ok(())
+        self.log(WalOp::EpochRerank)
     }
 
     /// Replace the worker-weight table (logged). Like a vote, a table
@@ -295,8 +348,11 @@ impl<D: Dir + Clone> DurableResolver<D> {
             check_weight(weight)?;
         }
         weights.sort_unstable_by_key(|&(worker, _)| worker);
-        self.weights = weights.clone();
-        self.log(WalOp::Weights(weights))?;
+        let logged = self.for_log(&weights);
+        self.weights = weights;
+        if let Some(weights) = logged {
+            self.log(WalOp::Weights(weights))?;
+        }
         Ok(())
     }
 
@@ -307,38 +363,40 @@ impl<D: Dir + Clone> DurableResolver<D> {
     pub fn regenerate_hits(&mut self) -> Result<HitDelta> {
         let delta = self.resolver.regenerate_hits()?;
         self.log(WalOp::Flush)?;
-        if self.ops_since_snapshot >= self.config.snapshot_every_ops {
-            self.checkpoint()?;
+        if let Some(log) = &self.log {
+            if log.ops_since_snapshot >= log.config.snapshot_every_ops {
+                self.checkpoint()?;
+            }
         }
         Ok(delta)
     }
 
-    /// Take a snapshot now and reset the log. Legal only at a flush
-    /// boundary (no dirty clusters) — call
+    /// Take a snapshot now and reset the log; returns the snapshot's
+    /// sequence number (0, and nothing written, without a log). Legal
+    /// only at a flush boundary (no dirty clusters) — call
     /// [`regenerate_hits`](Self::regenerate_hits) first, which does
     /// this automatically on cadence.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        self.wal.flush()?;
-        let seq = self.last_seq();
+        let Some(log) = &mut self.log else {
+            return Ok(0);
+        };
+        log.wal.flush()?;
+        let seq = log.wal.next_seq() - 1;
         {
             let _timer = crowder_obs::span!("durable.snapshot.write_ns");
-            write_snapshot(
-                &self.dir,
-                seq,
-                &self.resolver.export_state()?,
-                &self.weights,
-            )?;
+            write_snapshot(&log.dir, seq, &self.resolver.export_state()?, &self.weights)?;
         }
         crowder_obs::counter!("durable.snapshot.writes").incr();
-        self.wal = WalWriter::create(self.dir.clone(), seq)?;
-        prune_snapshots(&self.dir, seq)?;
-        self.ops_since_snapshot = 0;
+        log.wal = WalWriter::create(log.dir.clone(), seq)?;
+        prune_snapshots(&log.dir, seq)?;
+        log.ops_since_snapshot = 0;
         Ok(seq)
     }
 
-    /// Apply one logged-operation value through the engine (it is
-    /// applied *and* logged — this is the scripting entry point the
-    /// fault harness and benchmarks drive).
+    /// Apply one logged-operation value through the engine (applied,
+    /// and logged if the engine has a log). The only dispatch over
+    /// [`WalOp`]: recovery replays every frame through it, and the
+    /// fault harness and benchmarks drive scripts through it.
     pub fn apply(&mut self, op: WalOp) -> Result<()> {
         match op {
             WalOp::Insert { source, fields } => {
@@ -385,43 +443,6 @@ fn check_weight(weight: f64) -> Result<()> {
             "vote weight {weight} is not finite and non-negative"
         )))
     }
-}
-
-/// Apply one WAL operation to a bare resolver + weight table — the
-/// recovery replay path. Must mirror the engine's mutation methods
-/// exactly (minus the logging).
-fn replay(
-    resolver: &mut IncrementalResolver,
-    weights: &mut Vec<(u64, f64)>,
-    op: &WalOp,
-) -> Result<()> {
-    match op {
-        WalOp::Insert { source, fields } => {
-            resolver.insert(SourceId(*source), fields.clone())?;
-        }
-        WalOp::Remove(record) => {
-            resolver.remove(*record)?;
-        }
-        WalOp::Update { record, fields } => {
-            resolver.update(*record, fields.clone())?;
-        }
-        WalOp::Retract(pair) => {
-            resolver.retract(*pair);
-        }
-        WalOp::Evidence {
-            pair,
-            verdict,
-            weight,
-        } => {
-            resolver.record_evidence(*pair, *verdict, *weight);
-        }
-        WalOp::EpochRerank => resolver.rerank_now(),
-        WalOp::Flush => {
-            resolver.regenerate_hits()?;
-        }
-        WalOp::Weights(w) => *weights = w.clone(),
-    }
-    Ok(())
 }
 
 /// Everything observable about a resolver's serving state, in
@@ -516,5 +537,47 @@ mod tests {
         assert_eq!(engine.digest(), before, "nothing was applied");
         engine.record_evidence(Pair::of(0, 1), true, 0.5).unwrap();
         assert_eq!(engine.last_seq(), seq + 1);
+    }
+
+    #[test]
+    fn in_memory_engine_logs_nothing_and_matches_a_logged_one() {
+        let resolver = || {
+            IncrementalResolver::new(
+                "t",
+                vec!["name".into()],
+                PairSpace::SelfJoin,
+                StreamConfig::default(),
+            )
+        };
+        let mut logged =
+            DurableResolver::create_with(MemDir::new(), resolver(), DurabilityConfig::default())
+                .unwrap();
+        let mut in_memory = DurableResolver::<MemDir>::in_memory(resolver());
+        let script = [
+            WalOp::Insert {
+                source: 0,
+                fields: vec!["a b c".into()],
+            },
+            WalOp::Insert {
+                source: 0,
+                fields: vec!["a b d".into()],
+            },
+            WalOp::Weights(vec![(9, 0.25), (2, 1.0)]),
+            WalOp::Evidence {
+                pair: Pair::of(0, 1),
+                verdict: true,
+                weight: 0.5,
+            },
+            WalOp::Flush,
+        ];
+        for op in script {
+            logged.apply(op.clone()).unwrap();
+            in_memory.apply(op).unwrap();
+        }
+        assert_eq!(in_memory.digest(), logged.digest());
+        assert_eq!(in_memory.worker_weights(), &[(2, 1.0), (9, 0.25)]);
+        assert_eq!((in_memory.last_seq(), logged.last_seq()), (0, 5));
+        assert_eq!(in_memory.checkpoint().unwrap(), 0);
+        assert_eq!(in_memory.close().unwrap().len(), 2);
     }
 }

@@ -8,6 +8,19 @@
 //! contract of `crowder-stream` (streamed ≡ batch) extends across
 //! process death.
 //!
+//! ## One mutation path, with or without a log
+//!
+//! [`DurableResolver`] is the mutation path of every engine above the
+//! bare resolver: the streaming workflow (`crowder-core`), the serving
+//! worker (`crowder-serve`) and recovery all drive it, and
+//! [`DurableResolver::apply`] is the one dispatch over [`WalOp`]. An engine from [`DurableResolver::create`]
+//! or [`DurableResolver::recover`] logs; one from
+//! [`DurableResolver::in_memory`] has no log and skips everything below
+//! — no frame is encoded, no field is copied for the log, `sync` and
+//! checkpoints do nothing, and `close` hands the resolver back. The
+//! resolver calls are the same, so an in-memory run and a logged run of
+//! one op script end at the same [`StateDigest`].
+//!
 //! ## On-disk layout
 //!
 //! A durable resolver owns a directory ([`Dir`]) holding:
@@ -65,9 +78,11 @@
 //!    (corrupted ones are skipped — the previous snapshot plus a
 //!    longer replay still recovers).
 //! 3. Import the snapshot into a fresh
-//!    [`IncrementalResolver`](crowder_stream::IncrementalResolver) and
-//!    replay every WAL frame with `seq` greater than the snapshot's.
-//! 4. Resume logging at the next sequence number.
+//!    [`IncrementalResolver`](crowder_stream::IncrementalResolver),
+//!    wrap it in an engine without a log, and replay every WAL frame
+//!    with `seq` greater than the snapshot's through
+//!    [`DurableResolver::apply`] — the code path the live engine ran.
+//! 4. Attach the log and resume it at the next sequence number.
 //!
 //! [`DurableResolver::create`] writes snapshot 0 of the empty
 //! resolver, so step 2 always finds one in an uncorrupted directory.

@@ -16,10 +16,12 @@
 //!
 //! ## The model, in four rules
 //!
-//! 1. **One writer.** A single worker thread owns the engine (plain
-//!    [`crowder_stream::IncrementalResolver`] or
-//!    [`crowder_durable::DurableResolver`]).
-//!    All commands — ingest batches and queries — pass through one
+//! 1. **One writer.** A single worker thread owns the engine, a
+//!    [`crowder_durable::DurableResolver`]: with a log for
+//!    [`ResolverService::durable`] over a created or recovered engine,
+//!    without one for [`ResolverService::in_memory`]. Without a log the
+//!    worker runs the same mutation and sync calls; they encode no WAL
+//!    frame, sync nothing and checkpoint nothing. All commands — ingest batches and queries — pass through one
 //!    bounded FIFO, so the service's history is a *serial* order of
 //!    operations. Concurrency never changes what the resolver computes,
 //!    only who gets to wait on it.
@@ -33,8 +35,9 @@
 //! 3. **Group-commit acknowledgement.** The worker pops up to
 //!    [`ServeConfig::group_commit_max`] commands at a time, applies them
 //!    serially, then syncs the WAL *once* and only then resolves the
-//!    group's [`IngestTicket`]s. An acknowledged batch is durable; a
-//!    crash can only lose the unacknowledged tail (the property
+//!    group's [`IngestTicket`]s. On an engine with a log an
+//!    acknowledged batch is durable; a crash can only lose the
+//!    unacknowledged tail (the property
 //!    `tests/crash_service.rs` proves with fault injection).
 //! 4. **Prefix-consistent reads.** [`ResolverService::resolve`] runs
 //!    inside the same serial order: its [`ClusterView`] is the resolver
@@ -58,7 +61,7 @@
 //! `service.ingest.batches` / `service.ingest.rejected` /
 //! `service.ingest.acked_records` / `service.ingest.groups` (counters),
 //! and the ingest path's existing `core.stream.records_ingested`;
-//! durable engines additionally emit `durable.wal.fsync_ns` and
+//! engines with a log additionally emit `durable.wal.fsync_ns` and
 //! `durable.wal.batch_ops` from the WAL layer.
 
 pub mod queue;

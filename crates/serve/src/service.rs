@@ -1,6 +1,10 @@
-//! The serving front-end: one worker thread owning the resolver, a
-//! bounded command queue in front of it, group-commit acknowledgement
-//! behind it. See the crate docs for the full model; the short form:
+//! The serving front-end: one worker thread owning a
+//! [`DurableResolver`], a bounded command queue in front of it,
+//! group-commit acknowledgement behind it. The engine may have a log
+//! ([`ResolverService::durable`] over a created or recovered engine) or
+//! not ([`ResolverService::in_memory`]); the worker runs the same code
+//! either way, and without a log its syncs and its shutdown checkpoint
+//! do nothing. See the crate docs for the full model; the short form:
 //!
 //! * Producers submit ingest batches ([`ResolverService::try_ingest`]
 //!   with explicit backpressure, or blocking
@@ -10,12 +14,12 @@
 //!   [`ServeConfig::group_commit_max`], applies them **serially** (the
 //!   resolver's mutation order is the service's single source of
 //!   truth), answers queries immediately, and acknowledges ingest
-//!   tickets only after the group's WAL sync — so an acknowledged batch
-//!   is durable, and an unacknowledged one may vanish in a crash but
-//!   never partially-and-silently.
+//!   tickets only after the group's WAL sync — so on an engine with a
+//!   log an acknowledged batch is durable, and an unacknowledged one
+//!   may vanish in a crash but never partially-and-silently.
 //! * [`ResolverService::shutdown`] closes the queue, drains what was
-//!   accepted, flushes HITs, checkpoints (durable engines), and hands
-//!   the final resolver back.
+//!   accepted, flushes HITs, closes the engine (a checkpoint, if it has
+//!   a log), and hands the final resolver back.
 
 use crowder_durable::{Dir, DurableResolver, MemDir};
 use crowder_stream::{HitDelta, IncrementalResolver, QueryMatch};
@@ -73,7 +77,7 @@ pub struct IngestReceipt {
     pub records: Vec<RecordId>,
     /// Service-wide index of this batch's first applied op (1-based;
     /// with mid-run flushes disabled this is exactly the WAL sequence
-    /// number of the op on a durable engine).
+    /// number of the op on an engine with a log).
     pub first_op: u64,
     /// Index of this batch's last applied op (`first_op − 1 + records.len()`).
     pub last_op: u64,
@@ -128,8 +132,8 @@ pub struct ClusterView {
 
 /// What a clean [`ResolverService::shutdown`] hands back.
 pub struct ShutdownReport {
-    /// The resolver in its final state (checkpointed first, for durable
-    /// engines).
+    /// The resolver in its final state (checkpointed first, if the
+    /// engine has a log).
     pub resolver: IncrementalResolver,
     /// Total ingest ops applied over the service's lifetime.
     pub applied_ops: u64,
@@ -179,65 +183,9 @@ enum Command {
     },
 }
 
-/// The worker's engine: a plain in-memory resolver or a durable one.
-/// `sync` is the group-commit barrier — a no-op for the plain engine
-/// (applied ⇒ "durable" in memory), a WAL flush for the durable one.
-enum ServeEngine<D: Dir + Clone> {
-    Plain(Box<IncrementalResolver>),
-    Durable(Box<DurableResolver<D>>),
-}
-
-impl<D: Dir + Clone> ServeEngine<D> {
-    fn view(&self) -> &IncrementalResolver {
-        match self {
-            ServeEngine::Plain(r) => r,
-            ServeEngine::Durable(d) => d.resolver(),
-        }
-    }
-
-    fn insert(
-        &mut self,
-        source: SourceId,
-        fields: Vec<String>,
-    ) -> Result<crowder_stream::InsertReport> {
-        match self {
-            ServeEngine::Plain(r) => r.insert(source, fields),
-            ServeEngine::Durable(d) => d.insert(source, fields),
-        }
-    }
-
-    fn query(&mut self, source: SourceId, fields: &[String]) -> Result<Vec<QueryMatch>> {
-        match self {
-            ServeEngine::Plain(r) => r.query(source, fields),
-            ServeEngine::Durable(d) => d.query(source, fields),
-        }
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        match self {
-            ServeEngine::Plain(_) => Ok(()),
-            ServeEngine::Durable(d) => d.sync(),
-        }
-    }
-
-    fn regenerate_hits(&mut self) -> Result<HitDelta> {
-        match self {
-            ServeEngine::Plain(r) => r.regenerate_hits(),
-            ServeEngine::Durable(d) => d.regenerate_hits(),
-        }
-    }
-
-    fn finish(self) -> Result<IncrementalResolver> {
-        match self {
-            ServeEngine::Plain(r) => Ok(*r),
-            ServeEngine::Durable(d) => d.close(),
-        }
-    }
-}
-
 /// What the worker thread hands back on drain: the engine, the
 /// applied-op count, and the final HIT flush.
-type WorkerOutcome<D> = (ServeEngine<D>, u64, HitDelta);
+type WorkerOutcome<D> = (DurableResolver<D>, u64, HitDelta);
 
 /// A ticket's rendezvous cell paired with the outcome to deliver —
 /// group-commit acks buffer here until `sync()` decides their fate.
@@ -253,21 +201,18 @@ pub struct ResolverService<D: Dir + Clone + Send + 'static> {
 }
 
 impl ResolverService<MemDir> {
-    /// Serve a plain in-memory resolver (no durability; `sync` is a
-    /// no-op, so acknowledgement means "applied").
+    /// Serve a resolver without a log
+    /// ([`DurableResolver::in_memory`]): the group commit syncs nothing,
+    /// so acknowledgement means "applied".
     pub fn in_memory(resolver: IncrementalResolver, config: ServeConfig) -> Self {
-        Self::start(ServeEngine::Plain(Box::new(resolver)), config)
+        Self::durable(DurableResolver::in_memory(resolver), config)
     }
 }
 
 impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
-    /// Serve a durable resolver: every acknowledged ingest batch has
-    /// hit the WAL (group commit) before its ticket resolves.
+    /// Serve `engine`. If it has a log, every acknowledged ingest batch
+    /// has hit the WAL (group commit) before its ticket resolves.
     pub fn durable(engine: DurableResolver<D>, config: ServeConfig) -> Self {
-        Self::start(ServeEngine::Durable(Box::new(engine)), config)
-    }
-
-    fn start(engine: ServeEngine<D>, config: ServeConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let worker_queue = Arc::clone(&queue);
         let worker = std::thread::Builder::new()
@@ -360,7 +305,8 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
 
     /// Graceful shutdown: stop accepting work, drain everything already
     /// accepted (every pending ticket resolves), flush HITs once,
-    /// checkpoint (durable engines), and hand back the final resolver.
+    /// close the engine (a checkpoint, if it has a log), and hand back
+    /// the final resolver.
     pub fn shutdown(self) -> Result<ShutdownReport> {
         self.queue.close();
         let worker = self
@@ -373,7 +319,7 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
             .join()
             .map_err(|_| Error::InvalidData("service worker panicked".into()))??;
         Ok(ShutdownReport {
-            resolver: engine.finish()?,
+            resolver: engine.close()?,
             applied_ops,
             final_flush,
         })
@@ -421,10 +367,10 @@ fn build_view(
 
 /// The single consumer: apply commands serially, group-commit, ack.
 fn worker_loop<D: Dir + Clone>(
-    mut engine: ServeEngine<D>,
+    mut engine: DurableResolver<D>,
     queue: &BoundedQueue<Command>,
     config: ServeConfig,
-) -> Result<(ServeEngine<D>, u64, HitDelta)> {
+) -> Result<WorkerOutcome<D>> {
     let mut applied_ops: u64 = 0;
     let mut since_flush: usize = 0;
     loop {
@@ -489,7 +435,7 @@ fn worker_loop<D: Dir + Clone>(
                     // group's sync (they carry nothing to make durable).
                     let answer = engine
                         .query(source, &fields)
-                        .map(|matches| build_view(engine.view(), matches, applied_ops));
+                        .map(|matches| build_view(engine.resolver(), matches, applied_ops));
                     reply.fill(answer);
                 }
             }
@@ -526,11 +472,11 @@ fn worker_loop<D: Dir + Clone>(
 /// ticket of the group fails, the queue closes, and everything still
 /// queued fails too — no producer is left waiting on a dead worker.
 fn poison<D: Dir + Clone>(
-    engine: ServeEngine<D>,
+    engine: DurableResolver<D>,
     queue: &BoundedQueue<Command>,
     pending: Vec<PendingAck>,
     error: Error,
-) -> Result<(ServeEngine<D>, u64, HitDelta)> {
+) -> Result<WorkerOutcome<D>> {
     let dead = |what: &str| Error::InvalidData(format!("service group commit failed: {what}"));
     for (ticket, _) in pending {
         ticket.fill(Err(dead("batch not acknowledged")));

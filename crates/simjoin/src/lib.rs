@@ -57,23 +57,19 @@
 //!   for ablations and when a recall/cost knob is wanted rather than
 //!   exact thresholds.
 //!
-//! [`qgram_blocking_pairs`] ([`qgram`]) keys blocks on character
-//! q-grams instead of whole tokens — lossy, but robust to misspellings —
-//! with the same striding parallelism. [`threshold_sweep`] reproduces
-//! Table 2's likelihood-threshold selection rows, running [`prefix_join`]
-//! once at the lowest positive threshold and bucketing the output.
+//! [`threshold_sweep`] reproduces Table 2's likelihood-threshold
+//! selection rows, running [`prefix_join`] once at the lowest positive
+//! threshold and bucketing the output.
 
 pub mod allpairs;
 pub mod blocking;
 pub mod filters;
 pub mod prefix;
-pub mod qgram;
 pub mod sweep;
 pub mod tokens;
 
 pub use allpairs::all_pairs_scored;
 pub use blocking::token_blocking_pairs;
 pub use prefix::{prefix_join, prefix_join_with_stats, publish_funnel, JoinStats};
-pub use qgram::qgram_blocking_pairs;
 pub use sweep::{threshold_sweep, SweepRow};
 pub use tokens::TokenTable;

@@ -54,7 +54,7 @@
 //! HIT.
 
 use crowder_graph::{DynamicConnectivity, EdgeCut, EdgeLink};
-use crowder_hitgen::{ClusterGenerator, Hit, TwoTieredConfig, TwoTieredGenerator};
+use crowder_hitgen::{ClusterGenerator, Hit, TwoTieredGenerator};
 use crowder_simjoin::JoinStats;
 use crowder_text::tokenize;
 use crowder_types::{Dataset, Error, Pair, PairSpace, RecordId, ScoredPair, SourceId};
@@ -86,8 +86,6 @@ pub struct StreamConfig {
     pub threshold: f64,
     /// Cluster-HIT size threshold `k` (paper §5).
     pub cluster_size: usize,
-    /// Two-tiered generator tuning for HIT regeneration.
-    pub two_tiered: TwoTieredConfig,
     /// Minimum arrivals between dictionary re-rank epochs. The actual
     /// spacing is `max(rebuild_min_interval, corpus/2)`, so rebuild work
     /// stays O(1) amortized per arrival.
@@ -102,7 +100,6 @@ impl Default for StreamConfig {
         StreamConfig {
             threshold: 0.2,
             cluster_size: 10,
-            two_tiered: TwoTieredConfig::default(),
             rebuild_min_interval: 256,
             evidence: EvidenceConfig::default(),
         }
@@ -239,7 +236,6 @@ pub struct IncrementalResolver {
     /// Component labels whose clusters changed since the last flush.
     dirty: BTreeSet<usize>,
     live: LiveHits,
-    generator: TwoTieredGenerator,
     inserts_since_rebuild: usize,
 }
 
@@ -251,7 +247,6 @@ impl IncrementalResolver {
         pair_space: PairSpace,
         config: StreamConfig,
     ) -> Self {
-        let generator = TwoTieredGenerator::with_config(config.two_tiered.clone());
         IncrementalResolver {
             index: DeltaIndex::new(config.threshold),
             ledger: EvidenceLedger::new(config.evidence),
@@ -267,7 +262,6 @@ impl IncrementalResolver {
             fresh: Vec::new(),
             dirty: BTreeSet::new(),
             live: LiveHits::new(),
-            generator,
             inserts_since_rebuild: 0,
         }
     }
@@ -818,12 +812,13 @@ impl IncrementalResolver {
         // One generator run per cluster, over all of its listed pairs if
         // the repaired set would drift past the fallback bound.
         let k = self.config.cluster_size;
+        let generator = TwoTieredGenerator::new();
         let mut fresh_hits: Vec<(usize, Vec<Hit>)> = Vec::new();
         let mut regenerated: Vec<usize> = Vec::new();
         for group in pending.chunk_by(|x, y| x.0 == y.0) {
             let root = group[0].0;
             let mut pairs: Vec<Pair> = group.iter().map(|&(_, p)| p).collect();
-            let mut hits = self.generator.generate(&pairs, k)?;
+            let mut hits = generator.generate(&pairs, k)?;
             let live = kept_in.get(&root).copied().unwrap_or(0) + hits.len();
             let drifted = self.conn.component_size(root) > k
                 && self
@@ -839,7 +834,7 @@ impl IncrementalResolver {
                 }
                 pairs.sort_unstable();
                 pairs.dedup();
-                hits = self.generator.generate(&pairs, k)?;
+                hits = generator.generate(&pairs, k)?;
                 regenerated.push(root);
             }
             fresh_hits.push((root, hits));
@@ -1115,7 +1110,6 @@ impl IncrementalResolver {
                 .collect(),
             next_hit,
         )?;
-        let generator = TwoTieredGenerator::with_config(config.two_tiered.clone());
         let mut resolver = IncrementalResolver {
             index,
             ledger,
@@ -1131,7 +1125,6 @@ impl IncrementalResolver {
             fresh: Vec::new(),
             dirty: BTreeSet::new(),
             live,
-            generator,
             inserts_since_rebuild: inserts_since_rebuild as usize,
         };
         // Derive the cluster edges and the to-verify set. Only machine

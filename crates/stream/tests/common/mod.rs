@@ -1,4 +1,5 @@
-//! HIT invariants shared by the stream crate's integration tests.
+//! HIT invariants shared by the stream crate's integration tests and,
+//! through a `#[path]` module, the durable crate's contract fixture.
 
 use crowder_stream::{HitDelta, IncrementalResolver};
 use crowder_types::Pair;

@@ -7,8 +7,8 @@
 //! | row | measured | bound |
 //! |---|---|---|
 //! | churn | churn cost per op ÷ insert-only cost per arrival | 10 |
-//! | WAL | logged engine cost per op ÷ log-less engine cost per op | 3 |
-//! | installed recorder | recorded stream ÷ paused stream | 1.05 |
+//! | WAL | logged engine cost per op ÷ log-less engine cost per op (median of 5) | 3 |
+//! | installed recorder | recorded stream ÷ paused stream (median of 5) | 1.05 |
 //! | no recorder | always-live instrument cost ÷ paused stream | 0.005 |
 //!
 //! [`measure`] fills the table and [`check`] validates it; the
@@ -33,8 +33,8 @@ const BATCH: usize = 128;
 /// mutability must stay within 10× of append-only ingest.
 const MAX_CHURN_RATIO: f64 = 10.0;
 
-/// Samples the installed-recorder row takes the median of.
-const OBS_ITERS: usize = 5;
+/// Samples the WAL and installed-recorder rows take the median of.
+const SAMPLES: usize = 5;
 
 /// Shortest time each side of a recorder-row sample runs, in
 /// nanoseconds. One Restaurant pass takes about 10 ms, short enough that
@@ -277,32 +277,55 @@ impl Drop for ScratchDir {
 /// on an engine without a log ([`DurableResolver::in_memory`]). The
 /// ratio is the price of WAL encoding, group-commit fsyncs and
 /// checkpoints alone.
+///
+/// One logged run follows the host's fsync latency, which on a shared
+/// machine moved a single ratio between 1.1 and 4.9. The row is the
+/// median of [`SAMPLES`] logged/log-less pairs, alternating which side
+/// of a pair runs first.
 fn wal_overhead(dataset: &Dataset) -> f64 {
     let script = durable_script(dataset);
+    let run = |engine: &mut DurableResolver<FsDir>| {
+        let started = Instant::now();
+        for op in &script {
+            engine.apply(op.clone()).expect("script op is legal");
+        }
+        engine.sync().expect("final group commit");
+        started.elapsed().as_nanos()
+    };
+    let in_memory_ns = || {
+        run(&mut DurableResolver::in_memory(IncrementalResolver::like(
+            dataset,
+            stream_config(),
+        )))
+    };
+    let logged_ns = || {
+        let root = ScratchDir::new();
+        let dir = FsDir::new(&root.0).expect("temp dir is writable");
+        run(&mut DurableResolver::create_with(
+            dir,
+            IncrementalResolver::like(dataset, stream_config()),
+            DurabilityConfig::default(),
+        )
+        .expect("fresh durability directory"))
+    };
+    let ratios = (0..SAMPLES)
+        .map(|i| {
+            let (mem_ns, wal_ns) = if i % 2 == 0 {
+                (in_memory_ns(), logged_ns())
+            } else {
+                let wal_ns = logged_ns();
+                (in_memory_ns(), wal_ns)
+            };
+            wal_ns as f64 / mem_ns.max(1) as f64
+        })
+        .collect();
+    median(ratios)
+}
 
-    let mut in_memory =
-        DurableResolver::<FsDir>::in_memory(IncrementalResolver::like(dataset, stream_config()));
-    let started = Instant::now();
-    for op in &script {
-        in_memory.apply(op.clone()).expect("script op is legal");
-    }
-    let mem_ns = started.elapsed().as_nanos();
-
-    let root = ScratchDir::new();
-    let dir = FsDir::new(&root.0).expect("temp dir is writable");
-    let mut engine = DurableResolver::create_with(
-        dir,
-        IncrementalResolver::like(dataset, stream_config()),
-        DurabilityConfig::default(),
-    )
-    .expect("fresh durability directory");
-    let started = Instant::now();
-    for op in &script {
-        engine.apply(op.clone()).expect("script op is legal");
-    }
-    engine.sync().expect("final group commit");
-    let wal_ns = started.elapsed().as_nanos();
-    wal_ns as f64 / mem_ns.max(1) as f64
+/// The middle value of `samples` (the upper one of an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// The recorder rows: (median over samples of installed ÷ paused time,
@@ -325,9 +348,9 @@ fn obs_overheads(dataset: &Dataset) -> (f64, f64) {
     let ops_per_run = crowder_obs::ops_recorded() - ops_before;
     let passes = (MIN_SAMPLE_NS / warm_ns.max(1) + 1) as usize;
 
-    let mut ratios = Vec::with_capacity(OBS_ITERS);
+    let mut ratios = Vec::with_capacity(SAMPLES);
     let mut fastest_paused = u128::MAX;
-    for i in 0..OBS_ITERS {
+    for i in 0..SAMPLES {
         let (mut paused_ns, mut installed_ns) = (0u128, 0u128);
         for j in 0..passes {
             for installed in [(i + j) % 2 == 1, (i + j) % 2 == 0] {
@@ -345,9 +368,8 @@ fn obs_overheads(dataset: &Dataset) -> (f64, f64) {
         ratios.push(installed_ns as f64 / paused_ns.max(1) as f64);
     }
     crowder_obs::pause_recorder();
-    ratios.sort_by(f64::total_cmp);
     (
-        ratios[OBS_ITERS / 2],
+        median(ratios),
         disabled_op_cost_ns() * ops_per_run as f64 / fastest_paused.max(1) as f64,
     )
 }

@@ -11,9 +11,9 @@
 //! [`gates`] holds the same-run timing gates (churn, WAL and recorder
 //! overhead ratios); `cargo run --release -p crowder-bench --bin
 //! bench_gates` measures them and exits non-zero on a breach.
-//! Criterion micro-benchmarks of the algorithmic substrates live in
-//! `benches/`. End-to-end workloads are measured by the separate
-//! `perfbench/` package.
+//! End-to-end workloads are measured by the separate `perfbench/`
+//! package; its `--trace 1` mode times the join, HIT generation and
+//! Dawid–Skene per call.
 
 pub mod experiments;
 pub mod gates;

@@ -8,7 +8,7 @@
 //! affordable point for a given budget.
 
 use crowder_hitgen::{ClusterGenerator, TwoTieredGenerator};
-use crowder_simjoin::{all_pairs_scored, TokenTable};
+use crowder_simjoin::{prefix_join, TokenTable};
 use crowder_types::{Dataset, Error, Pair, Result};
 
 /// One point of the cost/recall frontier.
@@ -57,7 +57,7 @@ pub fn plan_budget(
     let generator = TwoTieredGenerator::new();
     let mut frontier = Vec::with_capacity(thresholds.len());
     for &threshold in thresholds {
-        let scored = all_pairs_scored(dataset, &tokens, threshold, 0);
+        let scored = prefix_join(dataset, &tokens, threshold, 0);
         let pairs: Vec<Pair> = scored.iter().map(|sp| sp.pair).collect();
         let hits = generator.generate(&pairs, k)?;
         let cost = hits.len() as f64 * assignments_per_hit as f64 * dollars_per_assignment;

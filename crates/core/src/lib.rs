@@ -47,8 +47,8 @@ pub mod prelude {
     };
     pub use crowder_metrics::{pr_curve, precision_at_recall, AsciiTable, PrCurve};
     pub use crowder_simjoin::{
-        all_pairs_scored, prefix_join, prefix_join_with_stats, threshold_sweep,
-        token_blocking_pairs, JoinStats, TokenTable,
+        all_pairs_scored, prefix_join, prefix_join_with_stats, threshold_sweep, JoinStats,
+        TokenTable,
     };
     pub use crowder_stream::{
         vote_weight, EvidenceConfig, EvidenceLedger, HitDelta, HitId, IncrementalResolver,

@@ -637,6 +637,26 @@ mod tests {
     }
 
     #[test]
+    fn retracting_a_pair_past_the_corpus_is_a_no_op() {
+        let dataset = table1();
+        let cfg = StreamingConfig {
+            faults: FaultPlan {
+                deletions: vec![],
+                retractions: vec![(1, Pair::of(0, 999))],
+            },
+            ..config()
+        };
+        let out = run_streaming(&dataset, &crowd(), &cfg).unwrap();
+        assert_eq!(out.rounds[1].retracted, 1);
+        assert_eq!(out.rounds[1].edges_decommitted, 0);
+        let tokens = TokenTable::build(&dataset);
+        assert_eq!(
+            out.resolver.ranked_pairs(),
+            prefix_join(&dataset, &tokens, 0.3, 1)
+        );
+    }
+
+    #[test]
     fn deleting_a_never_arrived_record_errors() {
         let dataset = table1();
         let cfg = StreamingConfig {

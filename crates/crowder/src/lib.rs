@@ -50,7 +50,7 @@
 pub use crowder_core::*;
 
 /// The observability runtime ([`crowder_obs`]): metric registry, spans,
-/// event journal, and Prometheus/JSON exporters. Re-exported so facade
+/// event journal, and a Prometheus exporter. Re-exported so facade
 /// users can `crowder::obs::install_recorder()` without naming the
 /// sub-crate.
 pub use crowder_obs as obs;

@@ -3,11 +3,13 @@
 //! payload codec (`decode_payload` → `IncrementalResolver::import_state`).
 //! Arbitrary bytes, and valid encodings with bytes flipped anywhere,
 //! must come back as an error or as a value that round-trips — never
-//! as a panic.
+//! as a panic. A whole log of well-framed, CRC-valid frames carrying
+//! ops no engine would have logged must likewise make
+//! `DurableResolver::recover` return `Ok` or `Err`, never panic.
 
 use crowder_durable::codec::{Dec, Enc};
 use crowder_durable::snapshot::{decode_payload, encode_payload};
-use crowder_durable::WalOp;
+use crowder_durable::{DurabilityConfig, DurableResolver, MemDir, WalOp, WalWriter};
 use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{Pair, PairSpace, RecordId, SourceId};
 use proptest::prelude::*;
@@ -110,6 +112,66 @@ fn check_snapshot_bytes(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A hostile op from three draws: `kind` picks the op, `a` and `b`
+/// pick record ids (ids 0..4 were inserted and id 3 removed; ids past
+/// 7 are mapped past the corpus) and `c` a field count or weight.
+fn hostile_op(kind: u8, (a, b): (u32, u32), c: u8) -> WalOp {
+    let far = |id: u32| if id < 8 { id } else { 990 + id };
+    let pair = {
+        let (lo, hi) = (a % 8, far(b));
+        Pair::of(lo, if hi == lo { lo + 1 } else { hi })
+    };
+    let fields = vec!["hostile field".to_string(); c as usize % 4];
+    match kind {
+        0 => WalOp::Insert {
+            source: a as u8,
+            fields,
+        },
+        1 => WalOp::Remove(RecordId(far(a))),
+        2 => WalOp::Update {
+            record: RecordId(far(a)),
+            fields,
+        },
+        3 => WalOp::Retract(pair),
+        4 => WalOp::Evidence {
+            pair,
+            verdict: c.is_multiple_of(2),
+            weight: [1.0, 0.0, 2.5, -1.0, f64::NAN, f64::INFINITY][c as usize % 6],
+        },
+        5 => WalOp::Weights(vec![(u64::from(a), [0.5, -1.0, f64::NAN][c as usize % 3])]),
+        6 => WalOp::EpochRerank,
+        _ => WalOp::Flush,
+    }
+}
+
+/// An engine over a [`MemDir`] holding four records (one removed) and
+/// one vote, synced; then `ops` appended as CRC-valid frames after its
+/// last one. Returns the directory, ready for recovery.
+fn log_with_hostile_tail(ops: &[WalOp]) -> MemDir {
+    let dir = MemDir::new();
+    let mut engine = DurableResolver::create(
+        dir.clone(),
+        "hostile",
+        vec!["name".into()],
+        PairSpace::SelfJoin,
+        stream_config(),
+        DurabilityConfig::default(),
+    )
+    .unwrap();
+    for name in ["a b c d", "a b c e", "x y z", "a b c"] {
+        engine.insert(SourceId(0), vec![name.into()]).unwrap();
+    }
+    engine.record_evidence(Pair::of(0, 1), true, 1.0).unwrap();
+    engine.remove(RecordId(3)).unwrap();
+    engine.sync().unwrap();
+    let mut wal = WalWriter::resume(dir.clone(), engine.last_seq()).unwrap();
+    for op in ops {
+        wal.log(op);
+    }
+    wal.flush().unwrap();
+    dir
+}
+
 /// Apply `(position, mask)` flips to `bytes`, positions wrapping.
 fn flipped(bytes: &[u8], flips: &[(usize, u8)]) -> Vec<u8> {
     let mut out = bytes.to_vec();
@@ -150,6 +212,21 @@ proptest! {
     ) {
         let bytes = encode_op(&valid_ops()[which]);
         check_wal_bytes(&flipped(&bytes, &flips))?;
+    }
+
+    #[test]
+    fn hostile_whole_log_replay_recovers_or_fails_cleanly(
+        draws in proptest::collection::vec(
+            (0u8..8, (0u32..16, 0u32..16), 0u8..6),
+            1..=12,
+        ),
+    ) {
+        let ops: Vec<WalOp> = draws
+            .iter()
+            .map(|&(kind, ids, c)| hostile_op(kind, ids, c))
+            .collect();
+        let dir = log_with_hostile_tail(&ops);
+        let _ = DurableResolver::recover(dir, stream_config(), DurabilityConfig::default());
     }
 
     #[test]

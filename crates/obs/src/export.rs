@@ -1,13 +1,9 @@
-//! Snapshot and journal exporters: Prometheus text exposition format
-//! and the workspace's schema-checked JSON.
+//! Snapshot and journal exporters: the Prometheus text exposition
+//! format and a one-line-per-event journal rendering.
 
-use crate::hist::{bucket_high, HistogramSnapshot};
+use crate::hist::bucket_high;
 use crate::journal::{Event, EventKind};
-use crate::json::{Json, JsonReport, JsonRow};
 use crate::registry::Snapshot;
-
-/// Schema version stamped into [`snapshot_json`] documents.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// Map a dotted metric key to a Prometheus-legal name: `[a-zA-Z0-9_:]`
 /// survives, everything else (the dots, mainly) becomes `_`.
@@ -59,95 +55,6 @@ pub fn prometheus_text(snapshot: &Snapshot) -> String {
         out.push_str(&format!("{n}_count {}\n", hist.count));
     }
     out
-}
-
-/// Serialize a snapshot with the workspace's hand-rolled JSON writer:
-/// `schema_version`, then `counters`/`gauges`/`histograms` row arrays
-/// (histogram rows carry count/sum/min/max and extracted p50/p90/p99).
-pub fn snapshot_json(snapshot: &Snapshot) -> String {
-    let hist_row = |h: &HistogramSnapshot| {
-        JsonRow::new()
-            .str("name", &h.name)
-            .num("count", h.count)
-            .num("sum", h.sum)
-            .num("min", if h.count == 0 { 0 } else { h.min })
-            .num("max", h.max)
-            .num("p50", h.p50())
-            .num("p90", h.p90())
-            .num("p99", h.p99())
-            .build()
-    };
-    JsonReport::new()
-        .num("schema_version", METRICS_SCHEMA_VERSION)
-        .rows(
-            "counters",
-            snapshot
-                .counters
-                .iter()
-                .map(|(k, v)| JsonRow::new().str("name", k).num("value", *v).build()),
-        )
-        .rows(
-            "gauges",
-            snapshot
-                .gauges
-                .iter()
-                .map(|(k, v)| JsonRow::new().str("name", k).num("value", *v).build()),
-        )
-        .rows("histograms", snapshot.histograms.values().map(hist_row))
-        .build()
-}
-
-/// Validate a [`snapshot_json`] document: schema version, the three
-/// row arrays with their required fields, and `min ≤ p50 ≤ p90 ≤ p99 ≤
-/// max` per histogram. Returns the total instrument count.
-pub fn validate_metrics_json(input: &str) -> Result<usize, String> {
-    let doc = crate::json::parse_json(input)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")?;
-    if version != METRICS_SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema_version {version} != {METRICS_SCHEMA_VERSION}"
-        ));
-    }
-    let mut total = 0usize;
-    for key in ["counters", "gauges"] {
-        let rows = doc
-            .get(key)
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("missing {key} array"))?;
-        for (i, row) in rows.iter().enumerate() {
-            row.get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{key}[{i}]: missing name"))?;
-            row.get("value")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{key}[{i}]: missing value"))?;
-        }
-        total += rows.len();
-    }
-    let hists = doc
-        .get("histograms")
-        .and_then(Json::as_array)
-        .ok_or("missing histograms array")?;
-    for (i, row) in hists.iter().enumerate() {
-        row.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("histograms[{i}]: missing name"))?;
-        let f = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("histograms[{i}]: missing {key}"))
-        };
-        let (count, min, max) = (f("count")?, f("min")?, f("max")?);
-        f("sum")?;
-        let (p50, p90, p99) = (f("p50")?, f("p90")?, f("p99")?);
-        if count > 0.0 && !(p50 <= p90 && p90 <= p99 && min <= max) {
-            return Err(format!("histograms[{i}]: quantiles out of order"));
-        }
-    }
-    Ok(total + hists.len())
 }
 
 /// Render a journal window as one line per event:
@@ -204,14 +111,6 @@ mod tests {
             .collect();
         assert!(counts.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(prometheus_name("9bad.name-x"), "_9bad_name_x");
-    }
-
-    #[test]
-    fn snapshot_json_roundtrips_through_validation() {
-        let json = snapshot_json(&sample_snapshot());
-        assert_eq!(validate_metrics_json(&json), Ok(3));
-        assert!(validate_metrics_json("{}").is_err());
-        assert!(validate_metrics_json("{\"schema_version\": 99}").is_err());
     }
 
     #[test]

@@ -5,11 +5,9 @@
 //! log2-bucketed latency [`Histogram`]s with p50/p90/p99 extraction and
 //! mergeable [`Snapshot`]s; RAII [`Span`] timers (the [`span!`] macro)
 //! that feed histograms and a bounded structured event [`Journal`] with
-//! sequence numbers and monotonic timestamps; and two exporters —
-//! Prometheus text format ([`export::prometheus_text`]) and the
-//! workspace's hand-rolled schema-checked JSON writer
-//! ([`export::snapshot_json`], built on [`json`], which the
-//! `perfbench` report writer also uses).
+//! sequence numbers and monotonic timestamps; and a Prometheus
+//! exporter ([`export::prometheus_text`]). [`json`] holds the
+//! hand-rolled JSON writer of the `perfbench` report.
 //!
 //! ## Recorder-installation contract
 //!

@@ -85,12 +85,6 @@ impl Span {
             }),
         }
     }
-
-    /// Whether this span is actually timing (a recorder was installed
-    /// when it opened).
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 impl Drop for Span {

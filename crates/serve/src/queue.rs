@@ -124,11 +124,6 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Is the queue closed?
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-
     /// Items currently queued (the saturation gauge).
     pub fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()

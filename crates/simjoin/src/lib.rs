@@ -48,28 +48,17 @@
 //!   [`all_pairs_scored`]; [`prefix_join_with_stats`] additionally
 //!   reports the per-filter candidate funnel.
 //!
-//! * [`token_blocking_pairs`] ([`blocking`]) — token blocking, the
-//!   indexing footnote of §2.2: records sharing any token land in a
-//!   common block (keyed by interned id) and only within-block pairs
-//!   are scored, in parallel with per-thread buffers. Lossless for any
-//!   threshold > 0 but generates far more candidates than prefix
-//!   filtering; its `max_block` cap trades recall for speed. **Wins**
-//!   for ablations and when a recall/cost knob is wanted rather than
-//!   exact thresholds.
-//!
 //! [`threshold_sweep`] reproduces Table 2's likelihood-threshold
 //! selection rows, running [`prefix_join`] once at the lowest positive
 //! threshold and bucketing the output.
 
 pub mod allpairs;
-pub mod blocking;
 pub mod filters;
 pub mod prefix;
 pub mod sweep;
 pub mod tokens;
 
 pub use allpairs::all_pairs_scored;
-pub use blocking::token_blocking_pairs;
 pub use prefix::{prefix_join, prefix_join_with_stats, publish_funnel, JoinStats};
 pub use sweep::{threshold_sweep, SweepRow};
 pub use tokens::TokenTable;

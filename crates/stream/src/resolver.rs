@@ -589,9 +589,13 @@ impl IncrementalResolver {
 
     /// Forget all crowd evidence for `pair`. If the evidence was
     /// holding a committed edge (or a veto), the clustering reverts to
-    /// the machine-only state for that pair.
+    /// the machine-only state for that pair. A pair naming a record id
+    /// past the corpus is a no-op, as in [`Self::record_evidence`].
     pub fn retract(&mut self, pair: Pair) -> EvidenceReport {
         let _timer = crowder_obs::span_light!("stream.resolver.retract_ns");
+        if pair.hi().index() >= self.dataset.len() {
+            return EvidenceReport::default();
+        }
         let had_evidence = self.ledger.tally(&pair).is_some();
         let was_listed = self.listed.contains(&pair);
         let shift = self.ledger.purge(&pair);
@@ -1289,12 +1293,6 @@ impl IncrementalResolver {
             .collect();
         out.sort();
         out
-    }
-
-    /// Is `pair` machine-surfaced and live?
-    #[inline]
-    pub fn machine_pair(&self, pair: &Pair) -> bool {
-        self.machine.contains(pair)
     }
 
     /// Dictionary re-rank epochs completed so far.
@@ -2001,5 +1999,18 @@ mod tests {
         assert!(r.ledger().is_empty());
         let rep = r.record_evidence(Pair::of(0, 7), true, 5.0);
         assert!(!rep.committed, "{rep:?}");
+    }
+
+    #[test]
+    fn retracting_a_pair_past_the_corpus_is_a_no_op() {
+        let mut r = resolver(0.5);
+        feed(&mut r, &["a b", "a b"]);
+        let before = (r.ranked_pairs(), r.cluster_count(), r.dirty_clusters());
+        let rep = r.retract(Pair::of(0, 999));
+        assert!(!rep.decommitted && !rep.merged && !rep.split, "{rep:?}");
+        assert_eq!(
+            (r.ranked_pairs(), r.cluster_count(), r.dirty_clusters()),
+            before
+        );
     }
 }

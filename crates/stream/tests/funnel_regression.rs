@@ -42,8 +42,7 @@
 
 use crowder_datagen::{product, restaurant, ProductConfig, RestaurantConfig};
 use crowder_simjoin::{
-    all_pairs_scored, prefix_join, prefix_join_with_stats, token_blocking_pairs, JoinStats,
-    TokenTable,
+    all_pairs_scored, prefix_join, prefix_join_with_stats, JoinStats, TokenTable,
 };
 use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{Dataset, Pair, PairSpace, ScoredPair, SourceId};
@@ -198,7 +197,7 @@ fn batch_product_candidates_stay_under_the_enforced_ceiling() {
 
 /// Every batch machine pass returns the same pairs on Restaurant:
 /// `prefix_join` single-threaded and at the available parallelism,
-/// the exhaustive `all_pairs_scored` both ways, and token blocking.
+/// and the exhaustive `all_pairs_scored` both ways.
 #[test]
 fn batch_join_paths_agree() {
     let dataset = restaurant(&RestaurantConfig::default());
@@ -219,10 +218,6 @@ fn batch_join_paths_agree() {
             (
                 "all_pairs threads=0",
                 all_pairs_scored(&dataset, &tokens, threshold, 0),
-            ),
-            (
-                "token_blocking",
-                token_blocking_pairs(&dataset, &tokens, threshold, 0, 1),
             ),
         ];
         for (what, got) in others {

@@ -178,8 +178,7 @@ fn churn_ratio(dataset: &Dataset) -> (f64, usize) {
 /// A deterministic mutation script over `dataset` carrying every op
 /// kind the WAL logs. Per round: insert the chunk, correct the first
 /// arrival, delete the last, commit evidence on every third surfaced
-/// pair (retracting every ninth), sometimes re-weight a worker or
-/// re-rank, and flush. Built against a scratch resolver so every op is
+/// pair (retracting every ninth), sometimes re-rank, and flush. Built against a scratch resolver so every op is
 /// legal at its point in the sequence.
 fn durable_script(dataset: &Dataset) -> Vec<WalOp> {
     let mut scratch = IncrementalResolver::like(dataset, stream_config());
@@ -232,12 +231,6 @@ fn durable_script(dataset: &Dataset) -> Vec<WalOp> {
                 scratch.retract(pair);
                 script.push(WalOp::Retract(pair));
             }
-        }
-        if round % 3 == 1 {
-            script.push(WalOp::Weights(vec![(
-                (round % 5) as u64,
-                0.5 + 0.25 * (round % 3) as f64,
-            )]));
         }
         if round % 4 == 3 {
             scratch.rerank_now();

@@ -29,7 +29,7 @@
 
 use crowder_aggregate::{DawidSkene, Vote};
 use crowder_crowd::{
-    labeled_triples_of, simulate_session, AssignmentRecord, CrowdConfig, SessionState,
+    labeled_triples_of, simulate_session, AssignmentRecord, CrowdConfig, SessionState, WorkerId,
     WorkerPopulation,
 };
 use crowder_durable::{DurabilityConfig, DurableResolver, FsDir};
@@ -73,12 +73,12 @@ impl FaultPlan {
 /// and snapshots live, and how often they are synced.
 ///
 /// Every resolver mutation the workflow performs — arrivals, fault-plan
-/// deletions and retractions, evidence votes, HIT flushes, worker-weight
-/// refreshes — goes through one [`DurableResolver`]. With this set, the
-/// engine logs each of them before the round proceeds and the run ends
-/// with a checkpoint, so a crashed process recovers via
-/// [`DurableResolver::recover`] to a state bit-for-bit consistent with
-/// the acknowledged prefix of the run. Without it the engine is
+/// deletions and retractions, evidence votes (each with the weight it
+/// was applied with), HIT flushes — goes through one
+/// [`DurableResolver`]. With this set, the engine logs each of them
+/// before the round proceeds and the run ends with a checkpoint, so a
+/// crashed process recovers via [`DurableResolver::recover`] to a state
+/// bit-for-bit consistent with the acknowledged prefix of the run. Without it the engine is
 /// [`DurableResolver::in_memory`]: the same calls, with no WAL frame
 /// encoded, nothing synced and no checkpoint written.
 #[derive(Debug, Clone)]
@@ -241,6 +241,27 @@ impl StreamingOutcome {
             .filter(|p| !gold.is_match(p))
             .collect()
     }
+}
+
+/// Add `triples` to the vote pool, weigh each worker by the pool's
+/// current quality estimate, and record every verdict as signed
+/// evidence.
+fn record_verdicts(
+    engine: &mut DurableResolver<FsDir>,
+    votes: &mut Vec<Vote>,
+    triples: &[(Pair, WorkerId, bool)],
+    aggregation: Aggregation,
+) -> Result<Vec<crowder_stream::EvidenceReport>> {
+    votes.extend(triples.iter().map(|&(p, w, v)| (p, w.0 as usize, v)));
+    let weights = worker_weights(votes, aggregation)?;
+    let _stage = crowder_obs::span!("core.stream.evidence_ns");
+    triples
+        .iter()
+        .map(|&(pair, worker, verdict)| {
+            let weight = weights.get(&(worker.0 as usize)).copied().unwrap_or(1.0);
+            engine.record_evidence(pair, verdict, weight)
+        })
+        .collect()
 }
 
 /// Per-worker evidence weights from the current vote pool.
@@ -407,27 +428,13 @@ pub fn run_streaming(
         // worker's past behaviour discounts their present influence.
         let mut round_triples = labeled_triples_of(&carried);
         round_triples.extend(sim.labeled_triples());
-        votes.extend(
-            round_triples
-                .iter()
-                .map(|&(pair, worker, verdict)| (pair, worker.0 as usize, verdict)),
-        );
-        let weights = worker_weights(&votes, config.aggregation)?;
-        if !weights.is_empty() {
-            let table: Vec<(u64, f64)> = weights.iter().map(|(&w, &x)| (w as u64, x)).collect();
-            engine.set_worker_weights(table)?;
-        }
         let mut edges_committed = 0usize;
+        for report in record_verdicts(&mut engine, &mut votes, &round_triples, config.aggregation)?
         {
-            let _stage = crowder_obs::span!("core.stream.evidence_ns");
-            for &(pair, worker, verdict) in &round_triples {
-                let weight = weights.get(&(worker.0 as usize)).copied().unwrap_or(1.0);
-                let report = engine.record_evidence(pair, verdict, weight)?;
-                edges_committed += report.committed as usize;
-                edges_decommitted += report.decommitted as usize;
-                cluster_merges += report.merged as usize;
-                cluster_splits += report.split as usize;
-            }
+            edges_committed += report.committed as usize;
+            edges_decommitted += report.decommitted as usize;
+            cluster_merges += report.merged as usize;
+            cluster_splits += report.split as usize;
         }
 
         total_cost += sim.cost_dollars + carried_cost;
@@ -467,17 +474,8 @@ pub fn run_streaming(
         let carried: Vec<AssignmentRecord> = std::mem::take(&mut pending);
         total_cost += carried.len() as f64 * per_assignment_cost;
         total_assignments += carried.len();
-        let round_triples = labeled_triples_of(&carried);
-        votes.extend(
-            round_triples
-                .iter()
-                .map(|&(pair, worker, verdict)| (pair, worker.0 as usize, verdict)),
-        );
-        let weights = worker_weights(&votes, config.aggregation)?;
-        for &(pair, worker, verdict) in &round_triples {
-            let weight = weights.get(&(worker.0 as usize)).copied().unwrap_or(1.0);
-            engine.record_evidence(pair, verdict, weight)?;
-        }
+        let triples = labeled_triples_of(&carried);
+        record_verdicts(&mut engine, &mut votes, &triples, config.aggregation)?;
     }
     let final_delta = engine.regenerate_hits()?;
     let resolver = engine.close()?;
@@ -742,7 +740,7 @@ mod tests {
         assert_eq!(report.replayed, 0, "clean close leaves an empty log");
         assert_eq!(
             recovered.digest(),
-            digest(&durable.resolver, recovered.worker_weights()),
+            digest(&durable.resolver),
             "recovered state ≡ the outcome's resolver, bit-for-bit"
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -65,10 +65,9 @@ pub struct RecoveryReport {
     pub last_seq: u64,
 }
 
-/// An [`IncrementalResolver`] and its worker-weight table, with or
-/// without a write-ahead log and snapshots in a [`Dir`]. All mutations
-/// go through this wrapper; reads go through
-/// [`resolver`](Self::resolver).
+/// An [`IncrementalResolver`], with or without a write-ahead log and
+/// snapshots in a [`Dir`]. All mutations go through this wrapper;
+/// reads go through [`resolver`](Self::resolver).
 ///
 /// An engine made by [`create`](Self::create),
 /// [`create_with`](Self::create_with) or [`recover`](Self::recover)
@@ -82,10 +81,6 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct DurableResolver<D: Dir + Clone> {
     resolver: IncrementalResolver,
-    /// Engine-level serving state: `(worker, weight)`, sorted by
-    /// worker id. Snapshot-carried so recovered engines weigh
-    /// post-crash votes identically.
-    weights: Vec<(u64, f64)>,
     /// The log, absent on an in-memory engine.
     log: Option<Log<D>>,
 }
@@ -106,7 +101,6 @@ impl<D: Dir + Clone> DurableResolver<D> {
     pub fn in_memory(resolver: IncrementalResolver) -> Self {
         DurableResolver {
             resolver,
-            weights: Vec::new(),
             log: None,
         }
     }
@@ -140,7 +134,7 @@ impl<D: Dir + Clone> DurableResolver<D> {
                 "durable create: directory already holds a WAL — use recover".into(),
             ));
         }
-        write_snapshot(&dir, 0, &resolver.export_state()?, &[])?;
+        write_snapshot(&dir, 0, &resolver.export_state()?)?;
         let wal = WalWriter::create(dir.clone(), 0)?;
         let mut engine = Self::in_memory(resolver);
         engine.log = Some(Log {
@@ -168,12 +162,12 @@ impl<D: Dir + Clone> DurableResolver<D> {
     }
 
     /// Recover from whatever a crashed (or cleanly stopped) engine
-    /// left in `dir`: validate the WAL, truncate its torn tail, load
-    /// the newest intact snapshot, and replay the log suffix through
-    /// [`apply`](Self::apply) on an engine without a log, then attach
-    /// the log. The recovered engine's future behavior is bit-for-bit
-    /// identical to an engine that executed operations `1..=last_seq`
-    /// and never crashed.
+    /// left in `dir`: validate the WAL, load the newest intact
+    /// snapshot, replay the log suffix through [`apply`](Self::apply)
+    /// on an engine without a log, then truncate the log's torn tail and
+    /// attach it. On error the directory is left as it was. The
+    /// recovered engine's future behavior is bit-for-bit identical to an
+    /// engine that executed operations `1..=last_seq` and never crashed.
     pub fn recover(
         dir: D,
         stream: StreamConfig,
@@ -181,17 +175,10 @@ impl<D: Dir + Clone> DurableResolver<D> {
     ) -> Result<(Self, RecoveryReport)> {
         let _timer = crowder_obs::span!("durable.recovery.total_ns");
         let contents = read_wal(&dir)?;
-        if contents.torn_bytes > 0 {
-            dir.truncate(WAL_NAME, contents.valid_len)?;
-            dir.sync(WAL_NAME)?;
-        }
-        let (snap_seq, state, weights) = load_latest_snapshot(&dir)?.ok_or_else(|| {
+        let (snap_seq, state) = load_latest_snapshot(&dir)?.ok_or_else(|| {
             Error::InvalidData("recover: no intact snapshot in the directory".into())
         })?;
-        let mut resolver = IncrementalResolver::import_state(stream, state)?;
-        resolver.compact_index();
-        let mut engine = Self::in_memory(resolver);
-        engine.weights = weights;
+        let mut engine = Self::in_memory(IncrementalResolver::import_state(stream, state)?);
         let last_seq = contents.last_seq().max(snap_seq);
         let torn_bytes = contents.torn_bytes;
         let mut replayed = 0;
@@ -203,6 +190,12 @@ impl<D: Dir + Clone> DurableResolver<D> {
                 Error::InvalidData(format!("recover: replay of op {seq} failed: {e}"))
             })?;
             replayed += 1;
+        }
+        // Only a recovery that succeeded cuts the torn tail, so a
+        // directory this build refuses is left as it was found.
+        if torn_bytes > 0 {
+            dir.truncate(WAL_NAME, contents.valid_len)?;
+            dir.sync(WAL_NAME)?;
         }
         let wal = WalWriter::resume(dir.clone(), last_seq)?;
         engine.log = Some(Log {
@@ -227,11 +220,6 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// the engine or they would not be logged.
     pub fn resolver(&self) -> &IncrementalResolver {
         &self.resolver
-    }
-
-    /// The engine's worker-weight table, sorted by worker id.
-    pub fn worker_weights(&self) -> &[(u64, f64)] {
-        &self.weights
     }
 
     /// Sequence number of the last logged operation (0 without a log).
@@ -309,16 +297,21 @@ impl<D: Dir + Clone> DurableResolver<D> {
     }
 
     /// One signed, weighted crowd vote (logged with its resolved
-    /// weight, so replay does not depend on the weight table). A NaN,
+    /// weight, so replay needs no worker-quality estimate). A NaN,
     /// infinite, or negative weight is rejected with
-    /// [`Error::InvalidData`] before anything is applied or logged.
+    /// [`Error::InvalidData`] before anything is applied or logged: the
+    /// WAL decoder refuses such a frame.
     pub fn record_evidence(
         &mut self,
         pair: Pair,
         verdict: bool,
         weight: f64,
     ) -> Result<EvidenceReport> {
-        check_weight(weight)?;
+        if !valid_weight(weight) {
+            return Err(Error::InvalidData(format!(
+                "vote weight {weight} is not finite and non-negative"
+            )));
+        }
         let report = self.resolver.record_evidence(pair, verdict, weight);
         self.log(WalOp::Evidence {
             pair,
@@ -339,21 +332,6 @@ impl<D: Dir + Clone> DurableResolver<D> {
     pub fn rerank_now(&mut self) -> Result<()> {
         self.resolver.rerank_now();
         self.log(WalOp::EpochRerank)
-    }
-
-    /// Replace the worker-weight table (logged). Like a vote, a table
-    /// with a NaN, infinite, or negative weight is rejected unapplied.
-    pub fn set_worker_weights(&mut self, mut weights: Vec<(u64, f64)>) -> Result<()> {
-        for &(_, weight) in &weights {
-            check_weight(weight)?;
-        }
-        weights.sort_unstable_by_key(|&(worker, _)| worker);
-        let logged = self.for_log(&weights);
-        self.weights = weights;
-        if let Some(weights) = logged {
-            self.log(WalOp::Weights(weights))?;
-        }
-        Ok(())
     }
 
     /// Flush dirty clusters into regenerated HITs (logged — replay
@@ -384,7 +362,7 @@ impl<D: Dir + Clone> DurableResolver<D> {
         let seq = log.wal.next_seq() - 1;
         {
             let _timer = crowder_obs::span!("durable.snapshot.write_ns");
-            write_snapshot(&log.dir, seq, &self.resolver.export_state()?, &self.weights)?;
+            write_snapshot(&log.dir, seq, &self.resolver.export_state()?)?;
         }
         crowder_obs::counter!("durable.snapshot.writes").incr();
         log.wal = WalWriter::create(log.dir.clone(), seq)?;
@@ -422,26 +400,13 @@ impl<D: Dir + Clone> DurableResolver<D> {
             WalOp::Flush => {
                 self.regenerate_hits()?;
             }
-            WalOp::Weights(weights) => self.set_worker_weights(weights)?,
         }
         Ok(())
     }
 
     /// The digest of the current state (see [`digest`]).
     pub fn digest(&self) -> StateDigest {
-        digest(&self.resolver, &self.weights)
-    }
-}
-
-/// Reject a vote weight the WAL decoder would refuse: logging it would
-/// cut the recoverable history short at that frame.
-fn check_weight(weight: f64) -> Result<()> {
-    if valid_weight(weight) {
-        Ok(())
-    } else {
-        Err(Error::InvalidData(format!(
-            "vote weight {weight} is not finite and non-negative"
-        )))
+        digest(&self.resolver)
     }
 }
 
@@ -450,7 +415,7 @@ fn check_weight(weight: f64) -> Result<()> {
 /// contract. Two engines with equal digests answer every query
 /// identically: same ranked pairs (exact likelihood bits), same
 /// cluster labels, same live HITs under the same ids, same evidence
-/// tallies, same join-funnel counters, same worker weights.
+/// tallies, same join-funnel counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDigest {
     /// Ranked pairs as `(lo, hi, likelihood bits)`.
@@ -469,13 +434,11 @@ pub struct StateDigest {
     pub live_len: usize,
     /// Deletions so far.
     pub removed: usize,
-    /// Worker weights as `(worker, weight bits)`.
-    pub weights: Vec<(u64, u64)>,
 }
 
-/// Compute the [`StateDigest`] of a resolver + weight table. Works in
-/// any state (flush boundary not required).
-pub fn digest(resolver: &IncrementalResolver, weights: &[(u64, f64)]) -> StateDigest {
+/// Compute the [`StateDigest`] of a resolver. Works in any state (flush
+/// boundary not required).
+pub fn digest(resolver: &IncrementalResolver) -> StateDigest {
     let ranked = resolver
         .ranked_pairs()
         .iter()
@@ -504,7 +467,6 @@ pub fn digest(resolver: &IncrementalResolver, weights: &[(u64, f64)]) -> StateDi
         epochs: resolver.epochs(),
         live_len: resolver.live_len(),
         removed: resolver.removed(),
-        weights: weights.iter().map(|&(w, x)| (w, x.to_bits())).collect(),
     }
 }
 
@@ -529,8 +491,6 @@ mod tests {
         let (seq, before) = (engine.last_seq(), engine.digest());
         for w in [f64::NAN, f64::INFINITY, -1.0] {
             let err = engine.record_evidence(Pair::of(0, 1), true, w);
-            assert!(matches!(err, Err(Error::InvalidData(_))), "{w}: {err:?}");
-            let err = engine.set_worker_weights(vec![(3, 0.5), (4, w)]);
             assert!(matches!(err, Err(Error::InvalidData(_))), "{w}: {err:?}");
         }
         assert_eq!(engine.last_seq(), seq, "nothing was logged");
@@ -562,7 +522,6 @@ mod tests {
                 source: 0,
                 fields: vec!["a b d".into()],
             },
-            WalOp::Weights(vec![(9, 0.25), (2, 1.0)]),
             WalOp::Evidence {
                 pair: Pair::of(0, 1),
                 verdict: true,
@@ -575,9 +534,61 @@ mod tests {
             in_memory.apply(op).unwrap();
         }
         assert_eq!(in_memory.digest(), logged.digest());
-        assert_eq!(in_memory.worker_weights(), &[(2, 1.0), (9, 0.25)]);
-        assert_eq!((in_memory.last_seq(), logged.last_seq()), (0, 5));
+        assert_eq!((in_memory.last_seq(), logged.last_seq()), (0, 4));
         assert_eq!(in_memory.checkpoint().unwrap(), 0);
         assert_eq!(in_memory.close().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn older_format_directories_are_refused_untouched() {
+        // A logged directory with a torn tail: one snapshot, frames
+        // after it, and half a frame.
+        let dir = MemDir::new();
+        let mut engine = DurableResolver::create(
+            dir.clone(),
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig::default(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        engine.insert(SourceId(0), vec!["a b c".into()]).unwrap();
+        engine.insert(SourceId(0), vec!["a b d".into()]).unwrap();
+        engine.sync().unwrap();
+        dir.append(WAL_NAME, &[9, 0, 0, 0, 1]).unwrap();
+        let snap = crate::snapshot::snap_name(0);
+        // Patch the version field (after the 4-byte magic) of one blob.
+        let with_version = |name: &str, version: u32| {
+            let copy = MemDir::new();
+            for blob in dir.list().unwrap() {
+                copy.replace(&blob, &dir.read(&blob).unwrap().unwrap())
+                    .unwrap();
+            }
+            let mut bytes = copy.read(name).unwrap().unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            copy.replace(name, &bytes).unwrap();
+            copy
+        };
+        for old in [with_version(WAL_NAME, 1), with_version(&snap, 4)] {
+            let before: Vec<_> = [WAL_NAME, snap.as_str()]
+                .map(|name| old.read(name).unwrap())
+                .into();
+            let recovered = DurableResolver::recover(
+                old.clone(),
+                StreamConfig::default(),
+                DurabilityConfig::default(),
+            );
+            assert!(matches!(recovered, Err(Error::InvalidData(_))));
+            let after: Vec<_> = [WAL_NAME, snap.as_str()]
+                .map(|name| old.read(name).unwrap())
+                .into();
+            assert_eq!(after, before, "a refused directory is left as it was");
+        }
+        // The current format recovers and cuts the torn tail.
+        let (_, report) =
+            DurableResolver::recover(dir, StreamConfig::default(), DurabilityConfig::default())
+                .unwrap();
+        assert_eq!((report.replayed, report.torn_bytes), (2, 5));
     }
 }

@@ -54,9 +54,11 @@
 //! ```
 //!
 //! where the payload encodes the full
-//! [`ResolverState`](crowder_stream::ResolverState) plus the engine's
-//! worker-weight table, and `seq` is the last operation the snapshot
-//! reflects.
+//! [`ResolverState`](crowder_stream::ResolverState) and `seq` is the
+//! last operation the snapshot reflects. Nothing else is durable: each
+//! `Evidence` frame carries the weight its vote was applied with, so
+//! worker-quality estimates stay with the crowd workflow that makes
+//! them.
 //!
 //! ## Fsync semantics (group commit)
 //!
@@ -73,7 +75,8 @@
 //! 1. Read `wal.log`; reject a missing/garbage header loudly. Scan
 //!    frames, stopping at the first invalid one (short, oversized,
 //!    CRC mismatch, or out-of-order seq) — everything from there on is
-//!    a torn tail and is physically truncated.
+//!    a torn tail. A checksummed, in-sequence frame whose op does not
+//!    decode cannot come from a torn write: recovery fails there.
 //! 2. Load the highest-`seq` snapshot that passes its checksum
 //!    (corrupted ones are skipped — the previous snapshot plus a
 //!    longer replay still recovers).
@@ -82,7 +85,10 @@
 //!    wrap it in an engine without a log, and replay every WAL frame
 //!    with `seq` greater than the snapshot's through
 //!    [`DurableResolver::apply`] — the code path the live engine ran.
-//! 4. Attach the log and resume it at the next sequence number.
+//! 4. Physically truncate the torn tail, attach the log and resume it
+//!    at the next sequence number. A recovery that fails before this
+//!    step (an older format version, no intact snapshot, a frame that
+//!    does not decode or replay) leaves the directory untouched.
 //!
 //! [`DurableResolver::create`] writes snapshot 0 of the empty
 //! resolver, so step 2 always finds one in an uncorrupted directory.

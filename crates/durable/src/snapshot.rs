@@ -1,5 +1,5 @@
 //! Snapshot files: one checksummed blob holding a full
-//! [`ResolverState`] plus the engine's worker-weight table.
+//! [`ResolverState`].
 //!
 //! A snapshot named `snap-<seq>` reflects the resolver *after*
 //! applying WAL operation `seq` (snapshot 0 is the empty resolver).
@@ -23,8 +23,9 @@ pub const SNAP_MAGIC: &[u8; 4] = b"CSNP";
 /// bucket to the cumulative join stats; v3 dropped the derived fields
 /// (cluster edges, per-cluster to-verify lists, removal count), which
 /// import now recomputes; v4 added each cluster's HIT baseline (its
-/// HIT count right after its last full HIT generation).
-pub const SNAP_VERSION: u32 = 4;
+/// HIT count right after its last full HIT generation); v5 dropped the
+/// trailing worker-weight table, which nothing read.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Blob name for the snapshot at `seq`.
 pub fn snap_name(seq: u64) -> String {
@@ -45,7 +46,10 @@ fn dec_pair(d: &mut Dec) -> Result<Pair> {
     Pair::new(RecordId(d.u32()?), RecordId(d.u32()?))
 }
 
-fn enc_state(e: &mut Enc, state: &ResolverState) {
+/// Encode `state` into a snapshot payload.
+pub fn encode_payload(state: &ResolverState) -> Vec<u8> {
+    let mut enc = Enc::new();
+    let e = &mut enc;
     e.str(&state.name);
     e.u32(state.schema.len() as u32);
     for attr in &state.schema {
@@ -145,9 +149,13 @@ fn enc_state(e: &mut Enc, state: &ResolverState) {
     }
     e.u64(state.next_hit);
     e.u64(state.inserts_since_rebuild);
+    enc.into_bytes()
 }
 
-fn dec_state(d: &mut Dec) -> Result<ResolverState> {
+/// Decode a snapshot payload back into a state.
+pub fn decode_payload(payload: &[u8]) -> Result<ResolverState> {
+    let mut dec = Dec::new(payload);
+    let d = &mut dec;
     let name = d.str()?;
     let schema = (0..d.seq_len(4)?).map(|_| d.str()).collect::<Result<_>>()?;
     let pair_space = match d.u8()? {
@@ -221,6 +229,8 @@ fn dec_state(d: &mut Dec) -> Result<ResolverState> {
         let ids = (0..d.seq_len(8)?).map(|_| d.u64()).collect::<Result<_>>()?;
         hit_roots.push((root, baseline, ids));
     }
+    let (next_hit, inserts_since_rebuild) = (d.u64()?, d.u64()?);
+    dec.finish()?;
     Ok(ResolverState {
         name,
         schema,
@@ -239,43 +249,14 @@ fn dec_state(d: &mut Dec) -> Result<ResolverState> {
         labels,
         hits,
         hit_roots,
-        next_hit: d.u64()?,
-        inserts_since_rebuild: d.u64()?,
+        next_hit,
+        inserts_since_rebuild,
     })
 }
 
-/// Encode `(state, weights)` into a snapshot payload.
-pub fn encode_payload(state: &ResolverState, weights: &[(u64, f64)]) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_state(&mut e, state);
-    e.u32(weights.len() as u32);
-    for (worker, weight) in weights {
-        e.u64(*worker);
-        e.f64(*weight);
-    }
-    e.into_bytes()
-}
-
-/// Decode a snapshot payload back into `(state, weights)`.
-pub fn decode_payload(payload: &[u8]) -> Result<(ResolverState, Vec<(u64, f64)>)> {
-    let mut d = Dec::new(payload);
-    let state = dec_state(&mut d)?;
-    let mut weights = Vec::new();
-    for _ in 0..d.seq_len(16)? {
-        weights.push((d.u64()?, d.f64()?));
-    }
-    d.finish()?;
-    Ok((state, weights))
-}
-
-/// Durably write `snap-<seq>` reflecting `state` + `weights`.
-pub fn write_snapshot(
-    dir: &impl Dir,
-    seq: u64,
-    state: &ResolverState,
-    weights: &[(u64, f64)],
-) -> Result<()> {
-    let payload = encode_payload(state, weights);
+/// Durably write `snap-<seq>` reflecting `state`.
+pub fn write_snapshot(dir: &impl Dir, seq: u64, state: &ResolverState) -> Result<()> {
+    let payload = encode_payload(state);
     let mut e = Enc::new();
     e.bytes(SNAP_MAGIC);
     e.u32(SNAP_VERSION);
@@ -288,7 +269,7 @@ pub fn write_snapshot(
 
 /// Validate and decode one snapshot blob; the declared `seq` must
 /// match `expect_seq` (the one in its name).
-pub fn read_snapshot(bytes: &[u8], expect_seq: u64) -> Result<(ResolverState, Vec<(u64, f64)>)> {
+pub fn read_snapshot(bytes: &[u8], expect_seq: u64) -> Result<ResolverState> {
     const HEAD: usize = 4 + 4 + 8 + 4 + 4;
     if bytes.len() < HEAD || &bytes[..4] != SNAP_MAGIC {
         return Err(Error::InvalidData("snapshot: no valid header".into()));
@@ -322,12 +303,9 @@ pub fn read_snapshot(bytes: &[u8], expect_seq: u64) -> Result<(ResolverState, Ve
 }
 
 /// Load the newest snapshot in `dir` that passes validation. Returns
-/// `(seq, state, weights)`, or `None` if the directory holds no
-/// intact snapshot at all.
-#[allow(clippy::type_complexity)]
-pub fn load_latest_snapshot(
-    dir: &impl Dir,
-) -> Result<Option<(u64, ResolverState, Vec<(u64, f64)>)>> {
+/// `(seq, state)`, or `None` if the directory holds no intact snapshot
+/// at all.
+pub fn load_latest_snapshot(dir: &impl Dir) -> Result<Option<(u64, ResolverState)>> {
     let mut seqs: Vec<u64> = dir
         .list()?
         .iter()
@@ -338,8 +316,8 @@ pub fn load_latest_snapshot(
         let Some(bytes) = dir.read(&snap_name(seq))? else {
             continue;
         };
-        if let Ok((state, weights)) = read_snapshot(&bytes, seq) {
-            return Ok(Some((seq, state, weights)));
+        if let Ok(state) = read_snapshot(&bytes, seq) {
+            return Ok(Some((seq, state)));
         }
     }
     Ok(None)
@@ -386,30 +364,25 @@ mod tests {
     #[test]
     fn payload_round_trips_bit_for_bit() {
         let state = sample_state();
-        let weights = vec![(3u64, 0.25), (9u64, 1.0)];
-        let payload = encode_payload(&state, &weights);
-        let (back, w) = decode_payload(&payload).unwrap();
-        assert_eq!(back, state);
-        assert_eq!(w, weights);
+        assert_eq!(decode_payload(&encode_payload(&state)).unwrap(), state);
     }
 
     #[test]
     fn write_load_picks_the_newest_valid_snapshot() {
         let dir = MemDir::new();
         let state = sample_state();
-        write_snapshot(&dir, 5, &state, &[]).unwrap();
+        write_snapshot(&dir, 5, &state).unwrap();
         let mut newer = state.clone();
         newer.inserts_since_rebuild += 1;
-        write_snapshot(&dir, 9, &newer, &[(1, 0.5)]).unwrap();
-        let (seq, loaded, weights) = load_latest_snapshot(&dir).unwrap().unwrap();
+        write_snapshot(&dir, 9, &newer).unwrap();
+        let (seq, loaded) = load_latest_snapshot(&dir).unwrap().unwrap();
         assert_eq!((seq, &loaded), (9, &newer));
-        assert_eq!(weights, vec![(1, 0.5)]);
         // Corrupt the newest: the loader falls back to snapshot 5.
         let mut bytes = dir.read(&snap_name(9)).unwrap().unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         dir.replace(&snap_name(9), &bytes).unwrap();
-        let (seq, loaded, _) = load_latest_snapshot(&dir).unwrap().unwrap();
+        let (seq, loaded) = load_latest_snapshot(&dir).unwrap().unwrap();
         assert_eq!((seq, &loaded), (5, &state));
         // Prune everything below 9: nothing valid remains.
         prune_snapshots(&dir, 9).unwrap();
@@ -419,7 +392,7 @@ mod tests {
     #[test]
     fn header_corruption_is_rejected() {
         let dir = MemDir::new();
-        write_snapshot(&dir, 2, &sample_state(), &[]).unwrap();
+        write_snapshot(&dir, 2, &sample_state()).unwrap();
         let bytes = dir.read(&snap_name(2)).unwrap().unwrap();
         assert!(
             read_snapshot(&bytes, 3).is_err(),
@@ -436,21 +409,24 @@ mod tests {
 
     #[test]
     fn older_format_versions_are_refused() {
-        let dir = MemDir::new();
-        write_snapshot(&dir, 4, &sample_state(), &[]).unwrap();
-        let mut bytes = dir.read(&snap_name(4)).unwrap().unwrap();
-        // The version follows the magic; the checksum covers only the
-        // payload, so the patched blob fails on its version alone.
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        match read_snapshot(&bytes, 4) {
-            Err(Error::InvalidData(msg)) => assert_eq!(
-                msg,
-                format!("snapshot: format version 2, this build reads {SNAP_VERSION}")
-            ),
-            other => panic!("expected the version error, got {other:?}"),
+        for old in [2u32, 4] {
+            let dir = MemDir::new();
+            write_snapshot(&dir, 4, &sample_state()).unwrap();
+            let mut bytes = dir.read(&snap_name(4)).unwrap().unwrap();
+            // The version follows the magic; the checksum covers only
+            // the payload, so the patched blob fails on its version
+            // alone.
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            match read_snapshot(&bytes, 4) {
+                Err(Error::InvalidData(msg)) => assert_eq!(
+                    msg,
+                    format!("snapshot: format version {old}, this build reads {SNAP_VERSION}")
+                ),
+                other => panic!("expected the version error, got {other:?}"),
+            }
+            // A directory holding only older snapshots has no intact one.
+            dir.replace(&snap_name(4), &bytes).unwrap();
+            assert!(load_latest_snapshot(&dir).unwrap().is_none());
         }
-        // A directory holding only v2 snapshots has no intact one.
-        dir.replace(&snap_name(4), &bytes).unwrap();
-        assert!(load_latest_snapshot(&dir).unwrap().is_none());
     }
 }

@@ -24,8 +24,9 @@ use crate::storage::Dir;
 pub const WAL_NAME: &str = "wal.log";
 /// Magic bytes opening `wal.log`.
 pub const WAL_MAGIC: &[u8; 4] = b"CWAL";
-/// On-disk format version.
-pub const WAL_VERSION: u32 = 1;
+/// On-disk format version. v2 dropped the worker-weight-table op (tag
+/// 8), which nothing read.
+pub const WAL_VERSION: u32 = 2;
 /// Header length: magic + version + base_seq.
 pub const WAL_HEADER: usize = 4 + 4 + 8;
 /// Upper bound on one frame's payload — a parsed length beyond this
@@ -36,12 +37,12 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// One logged resolver mutation.
 ///
 /// `Evidence` carries the resolved vote *weight* (not the worker id):
-/// replay must not depend on the worker-quality table at recovery
-/// time, which may have drifted since the vote was cast. `Flush` is
-/// logged because HIT regeneration assigns fresh [`HitId`]s from a
+/// worker-quality estimates live with the crowd workflow, not the
+/// resolver, and drift after the vote is cast, so each vote keeps the
+/// weight it was applied with and replay needs nothing else. `Flush`
+/// is logged because HIT regeneration assigns fresh [`HitId`]s from a
 /// monotone counter — replay has to flush at the same points to hand
-/// out the same ids. `Weights` records the engine's worker-weight
-/// table so post-recovery votes weigh the same as they would have.
+/// out the same ids.
 ///
 /// [`HitId`]: crowder_stream::HitId
 #[derive(Debug, Clone, PartialEq)]
@@ -77,8 +78,6 @@ pub enum WalOp {
     EpochRerank,
     /// A HIT-regeneration flush boundary.
     Flush,
-    /// The engine's worker-weight table changed: `(worker, weight)`.
-    Weights(Vec<(u64, f64)>),
 }
 
 impl WalOp {
@@ -123,14 +122,6 @@ impl WalOp {
             }
             WalOp::EpochRerank => e.u8(6),
             WalOp::Flush => e.u8(7),
-            WalOp::Weights(weights) => {
-                e.u8(8);
-                e.u32(weights.len() as u32);
-                for (worker, weight) in weights {
-                    e.u64(*worker);
-                    e.f64(*weight);
-                }
-            }
         }
     }
 
@@ -171,14 +162,6 @@ impl WalOp {
             }),
             6 => Ok(WalOp::EpochRerank),
             7 => Ok(WalOp::Flush),
-            8 => {
-                let n = d.seq_len(16)?;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    weights.push((d.u64()?, weight(d)?));
-                }
-                Ok(WalOp::Weights(weights))
-            }
             tag => Err(Error::InvalidData(format!("WAL: unknown op tag {tag}"))),
         }
     }
@@ -302,10 +285,13 @@ impl WalContents {
 /// A missing blob or a bad header (wrong magic/version, short) is a
 /// hard error — this directory is not a durable resolver home. Frame
 /// validation stops at the first invalid frame (short, oversized
-/// length, CRC mismatch, out-of-order sequence number, or trailing
-/// payload garbage): under the group-commit protocol only the final
-/// write can tear, so everything from the first bad byte on is the
-/// torn tail, reported in [`WalContents::torn_bytes`].
+/// length, CRC mismatch or out-of-order sequence number): under the
+/// group-commit protocol only the final write can tear, so everything
+/// from the first bad byte on is the torn tail, reported in
+/// [`WalContents::torn_bytes`]. A whole, checksummed, in-sequence frame
+/// whose op does not decode is no torn write: it is an
+/// [`Error::InvalidData`], so the acknowledged frames after it are
+/// never truncated away.
 pub fn read_wal(dir: &impl Dir) -> Result<WalContents> {
     let bytes = dir.read(WAL_NAME)?.ok_or_else(|| {
         Error::InvalidData(format!("WAL: no `{WAL_NAME}` — not a durable resolver dir"))
@@ -327,7 +313,7 @@ pub fn read_wal(dir: &impl Dir) -> Result<WalContents> {
     let mut frames = Vec::new();
     let mut at = WAL_HEADER;
     let mut expect = base_seq + 1;
-    while let Some((consumed, op)) = parse_frame(&bytes[at..], expect) {
+    while let Some((consumed, op)) = parse_frame(&bytes[at..], expect)? {
         frames.push((expect, op));
         at += consumed;
         expect += 1;
@@ -340,29 +326,32 @@ pub fn read_wal(dir: &impl Dir) -> Result<WalContents> {
     })
 }
 
-/// Parse one frame at the head of `bytes`; `None` marks the torn tail.
-fn parse_frame(bytes: &[u8], expect_seq: u64) -> Option<(usize, WalOp)> {
+/// Parse one frame at the head of `bytes`; `Ok(None)` marks the torn
+/// tail, an error a checksummed frame whose op does not decode.
+fn parse_frame(bytes: &[u8], expect_seq: u64) -> Result<Option<(usize, WalOp)>> {
     if bytes.len() < 8 {
-        return None;
+        return Ok(None);
     }
     let mut d = Dec::new(bytes);
-    let len = d.u32().ok()? as usize;
-    let crc = d.u32().ok()?;
+    let (len, crc) = (d.u32()? as usize, d.u32()?);
     if len > MAX_FRAME || bytes.len() < 8 + len {
-        return None;
+        return Ok(None);
     }
     let payload = &bytes[8..8 + len];
     if crc32(payload) != crc {
-        return None;
+        return Ok(None);
     }
     let mut d = Dec::new(payload);
-    let seq = d.u64().ok()?;
-    if seq != expect_seq {
-        return None;
+    if d.u64().ok() != Some(expect_seq) {
+        return Ok(None);
     }
-    let op = WalOp::decode(&mut d).ok()?;
-    d.finish().ok()?;
-    Some((8 + len, op))
+    let decoded = WalOp::decode(&mut d).and_then(|op| d.finish().map(|()| op));
+    match decoded {
+        Ok(op) => Ok(Some((8 + len, op))),
+        Err(e) => Err(Error::InvalidData(format!(
+            "WAL: frame {expect_seq} passes its checksum but does not decode: {e}"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -389,7 +378,6 @@ mod tests {
             WalOp::Retract(Pair::of(0, 1)),
             WalOp::EpochRerank,
             WalOp::Flush,
-            WalOp::Weights(vec![(7, 0.9), (12, 0.0)]),
         ]
     }
 
@@ -408,22 +396,18 @@ mod tests {
     #[test]
     fn unusable_weights_do_not_decode() {
         for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.25] {
-            for op in [
-                WalOp::Evidence {
-                    pair: Pair::of(0, 1),
-                    verdict: true,
-                    weight: w,
-                },
-                WalOp::Weights(vec![(7, 0.9), (12, w)]),
-            ] {
-                let mut e = Enc::new();
-                op.encode(&mut e);
-                let bytes = e.into_bytes();
-                assert!(WalOp::decode(&mut Dec::new(&bytes)).is_err(), "{op:?}");
-            }
+            let op = WalOp::Evidence {
+                pair: Pair::of(0, 1),
+                verdict: true,
+                weight: w,
+            };
+            let mut e = Enc::new();
+            op.encode(&mut e);
+            let bytes = e.into_bytes();
+            assert!(WalOp::decode(&mut Dec::new(&bytes)).is_err(), "{op:?}");
         }
-        // In a log, such a frame ends the readable prefix like any other
-        // undecodable frame.
+        // In a log, such a frame is corruption, like any other
+        // checksummed frame that does not decode.
         let dir = MemDir::new();
         let mut w = WalWriter::create(dir.clone(), 0).unwrap();
         w.log(&WalOp::Flush);
@@ -434,9 +418,63 @@ mod tests {
         });
         w.log(&WalOp::Flush);
         w.flush().unwrap();
-        let contents = read_wal(&dir).unwrap();
-        assert_eq!(contents.last_seq(), 1);
-        assert!(contents.torn_bytes > 0);
+        assert!(matches!(read_wal(&dir), Err(Error::InvalidData(_))));
+    }
+
+    #[test]
+    fn a_checksummed_frame_with_an_unknown_tag_fails_recovery_untruncated() {
+        use crate::engine::{DurabilityConfig, DurableResolver};
+        use crowder_stream::StreamConfig;
+        use crowder_types::PairSpace;
+        let dir = MemDir::new();
+        let mut engine = DurableResolver::create(
+            dir.clone(),
+            "t",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            StreamConfig::default(),
+            DurabilityConfig::default(),
+        )
+        .unwrap();
+        engine.apply(WalOp::Flush).unwrap();
+        engine.sync().unwrap();
+        dir.append(WAL_NAME, &raw_frame(2, &[9])).unwrap();
+        let mut w = WalWriter::resume(dir.clone(), 2).unwrap();
+        w.log(&WalOp::Flush);
+        w.flush().unwrap();
+        let len = dir.read(WAL_NAME).unwrap().unwrap().len();
+        match read_wal(&dir) {
+            Err(Error::InvalidData(msg)) => assert!(msg.contains("unknown op tag 9"), "{msg}"),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let recovered =
+            DurableResolver::recover(dir.clone(), StreamConfig::default(), Default::default());
+        assert!(recovered.is_err(), "{recovered:?}");
+        assert_eq!(
+            dir.read(WAL_NAME).unwrap().unwrap().len(),
+            len,
+            "log kept whole"
+        );
+        // The same frame cut short is an ordinary torn tail.
+        let torn = MemDir::new();
+        let cut = len - raw_frame(3, &[7]).len() - 1;
+        torn.append(WAL_NAME, &dir.read(WAL_NAME).unwrap().unwrap()[..cut])
+            .unwrap();
+        let read = read_wal(&torn).unwrap();
+        assert_eq!((read.last_seq(), read.torn_bytes), (1, 16));
+    }
+
+    /// A whole, checksummed frame at `seq` around an op encoding.
+    fn raw_frame(seq: u64, op: &[u8]) -> Vec<u8> {
+        let mut payload = Enc::new();
+        payload.u64(seq);
+        payload.bytes(op);
+        let payload = payload.into_bytes();
+        let mut frame = Enc::new();
+        frame.u32(payload.len() as u32);
+        frame.u32(crc32(&payload));
+        frame.bytes(&payload);
+        frame.into_bytes()
     }
 
     #[test]
@@ -534,12 +572,14 @@ mod tests {
         assert!(read_wal(&dir).is_err(), "bad magic");
         dir.replace(WAL_NAME, b"CW").unwrap();
         assert!(read_wal(&dir).is_err(), "short header");
-        let mut e = Enc::new();
-        e.bytes(WAL_MAGIC);
-        e.u32(99);
-        e.u64(0);
-        dir.replace(WAL_NAME, &e.into_bytes()).unwrap();
-        assert!(read_wal(&dir).is_err(), "future version");
+        for version in [WAL_VERSION - 1, 99] {
+            let mut e = Enc::new();
+            e.bytes(WAL_MAGIC);
+            e.u32(version);
+            e.u64(0);
+            dir.replace(WAL_NAME, &e.into_bytes()).unwrap();
+            assert!(read_wal(&dir).is_err(), "version {version}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The crash matrix: power loss at any byte, under any (op sequence ×
 //! crash offset × sync cadence × snapshot cadence), recovers to a
 //! state whose digest — ranked pairs, cluster labels, live HITs,
-//! evidence tallies, funnel counters, worker weights — is bit-for-bit
+//! evidence tallies, funnel counters — is bit-for-bit
 //! identical to a run that never crashed, once the lost operation
 //! suffix is replayed.
 
@@ -76,7 +76,6 @@ fn make_script(seed: u64, len: usize) -> Vec<WalOp> {
                     WalOp::Retract(Pair::of(a, b))
                 }
             }
-            5 if i % 7 == 0 => WalOp::Weights(vec![(roll(5) as u64, 0.25 * roll(4) as f64)]),
             6 if i % 11 == 0 => WalOp::EpochRerank,
             7 => WalOp::Flush,
             _ => {

@@ -49,7 +49,6 @@ fn valid_ops() -> Vec<WalOp> {
         },
         WalOp::EpochRerank,
         WalOp::Flush,
-        WalOp::Weights(vec![(3, 0.5), (11, 2.0)]),
     ]
 }
 
@@ -90,24 +89,24 @@ fn sample_payload() -> Vec<u8> {
     r.remove(RecordId(5)).unwrap();
     r.gold_mut().insert(Pair::of(0, 1));
     r.regenerate_hits().unwrap();
-    encode_payload(&r.export_state().unwrap(), &[(3, 0.25), (9, 1.0)])
+    encode_payload(&r.export_state().unwrap())
 }
 
 /// Decode and import a snapshot payload. On success the imported
 /// resolver's export must be a fixed point: encoding it, decoding,
 /// importing and exporting again gives the same bytes.
 fn check_snapshot_bytes(bytes: &[u8]) -> Result<(), TestCaseError> {
-    let Ok((state, weights)) = decode_payload(bytes) else {
+    let Ok(state) = decode_payload(bytes) else {
         return Ok(());
     };
     let Ok(resolver) = IncrementalResolver::import_state(stream_config(), state) else {
         return Ok(());
     };
     let fail = |e: crowder_types::Error| TestCaseError::fail(format!("{e}"));
-    let first = encode_payload(&resolver.export_state().map_err(fail)?, &weights);
-    let (state, weights) = decode_payload(&first).map_err(fail)?;
+    let first = encode_payload(&resolver.export_state().map_err(fail)?);
+    let state = decode_payload(&first).map_err(fail)?;
     let resolver = IncrementalResolver::import_state(stream_config(), state).map_err(fail)?;
-    let second = encode_payload(&resolver.export_state().map_err(fail)?, &weights);
+    let second = encode_payload(&resolver.export_state().map_err(fail)?);
     prop_assert!(first == second, "export is not a fixed point");
     Ok(())
 }
@@ -138,8 +137,7 @@ fn hostile_op(kind: u8, (a, b): (u32, u32), c: u8) -> WalOp {
             verdict: c.is_multiple_of(2),
             weight: [1.0, 0.0, 2.5, -1.0, f64::NAN, f64::INFINITY][c as usize % 6],
         },
-        5 => WalOp::Weights(vec![(u64::from(a), [0.5, -1.0, f64::NAN][c as usize % 3])]),
-        6 => WalOp::EpochRerank,
+        5 => WalOp::EpochRerank,
         _ => WalOp::Flush,
     }
 }
@@ -190,7 +188,7 @@ fn valid_encodings_round_trip() {
         assert_eq!(WalOp::decode(&mut Dec::new(&bytes)).unwrap(), op);
     }
     check_snapshot_bytes(&sample_payload()).unwrap();
-    let (state, _) = decode_payload(&sample_payload()).unwrap();
+    let state = decode_payload(&sample_payload()).unwrap();
     assert!(IncrementalResolver::import_state(stream_config(), state).is_ok());
 }
 
@@ -207,7 +205,7 @@ proptest! {
 
     #[test]
     fn flipped_wal_ops_decode_or_fail_cleanly(
-        which in 0usize..8,
+        which in 0usize..7,
         flips in proptest::collection::vec((0usize..4096, 1u8..=255), 1..=4),
     ) {
         let bytes = encode_op(&valid_ops()[which]);
@@ -217,7 +215,7 @@ proptest! {
     #[test]
     fn hostile_whole_log_replay_recovers_or_fails_cleanly(
         draws in proptest::collection::vec(
-            (0u8..8, (0u32..16, 0u32..16), 0u8..6),
+            (0u8..7, (0u32..16, 0u32..16), 0u8..6),
             1..=12,
         ),
     ) {

@@ -165,36 +165,11 @@ impl MutGraph {
         v
     }
 
-    /// All live edges as sorted pairs.
-    pub fn edges(&self) -> Vec<Pair> {
-        let mut out = Vec::with_capacity(self.edge_count);
-        for (&v, neigh) in &self.adj {
-            for &u in neigh {
-                if v < u {
-                    out.push(Pair::new(v, u).expect("distinct"));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Breadth-first traversal order over the whole graph: repeatedly BFS
-    /// from the smallest unvisited vertex. Used by the BFS-based baseline
-    /// generator (§7.2).
-    pub fn bfs_order(&self) -> Vec<RecordId> {
-        self.traversal_prefix(true, usize::MAX)
-    }
-
-    /// Depth-first analogue of [`MutGraph::bfs_order`] for the DFS-based
-    /// baseline.
-    pub fn dfs_order(&self) -> Vec<RecordId> {
-        self.traversal_prefix(false, usize::MAX)
-    }
-
-    /// The first `limit` vertices of the BFS traversal order — what the
-    /// BFS-based generator actually consumes per HIT. Stops early instead
-    /// of walking the whole graph.
+    /// The first `limit` vertices of the breadth-first traversal order
+    /// (repeatedly BFS from the smallest unvisited vertex) — what the
+    /// BFS-based baseline generator (§7.2) consumes per HIT. Stops early
+    /// instead of walking the whole graph; `usize::MAX` gives the whole
+    /// order.
     pub fn bfs_prefix(&self, limit: usize) -> Vec<RecordId> {
         self.traversal_prefix(true, limit)
     }
@@ -308,8 +283,8 @@ mod tests {
     #[test]
     fn bfs_and_dfs_orders_cover_all_vertices() {
         let g = figure5();
-        let bfs = g.bfs_order();
-        let dfs = g.dfs_order();
+        let bfs = g.bfs_prefix(usize::MAX);
+        let dfs = g.dfs_prefix(usize::MAX);
         assert_eq!(bfs.len(), 9);
         assert_eq!(dfs.len(), 9);
         let mut b = bfs.clone();
@@ -327,18 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn edges_listing_is_sorted_and_complete() {
-        let g = figure5();
-        let edges = g.edges();
-        assert_eq!(edges.len(), 10);
-        assert!(edges.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn empty_graph_behaviour() {
         let g = MutGraph::new();
         assert!(g.is_edgeless());
         assert_eq!(g.max_degree_vertex(), None);
-        assert!(g.bfs_order().is_empty());
+        assert!(g.bfs_prefix(usize::MAX).is_empty());
     }
 }

@@ -151,7 +151,7 @@ fn acked_batches_survive_a_crash_bit_exactly() {
         }
         assert_eq!(
             recovered.digest(),
-            digest(&replay, &[]),
+            digest(&replay),
             "budget {budget}: recovered state diverged from replay of the durable prefix"
         );
     }
@@ -192,7 +192,7 @@ fn clean_shutdown_recovers_everything() {
     }
     let report = service.shutdown().unwrap();
     assert_eq!(report.applied_ops, 18);
-    let final_digest = digest(&report.resolver, &[]);
+    let final_digest = digest(&report.resolver);
     let (recovered, recovery) =
         DurableResolver::recover(dir, stream_config(), durability_config()).unwrap();
     assert!(recovery.last_seq >= 18, "all acked ops recovered");

@@ -16,11 +16,11 @@
 //! A probe runs the two-phase kernel of `crowder_simjoin::filters`
 //! (`ProbeScratch` / `Probe`) — the same code the batch join runs, so a
 //! filter change lands once for both engines. This module keeps only
-//! what is stream-specific: the length-bucketed, tombstoned,
-//! live-counted postings, and phase 1, which walks them.
+//! what is stream-specific: the length-bucketed, counted postings of
+//! the live records, and phase 1, which walks them.
 //!
 //! 1. **Hit collection.** One loop over the probe window, in ascending
-//!    probe position, feeds every live, tier-admissible posting inside
+//!    probe position, feeds every tier-admissible posting inside
 //!    the length window to `Hits::hit`. The kernel keeps each
 //!    candidate's first hit `(i, j)` — the pair's first shared prefix
 //!    token: both token lists ascend in the same global rank order (see
@@ -57,10 +57,10 @@
 //! The index stores each record's **extended** probe window
 //! (`extended_prefix_len`), every posting carrying its `tier` — how far
 //! past the base prefix its position sits. A probe picks a per-record
-//! count-filter `level` (`adaptive_level`) from the *live* posting mass
-//! under its base prefix (the `PostingList::live` counters — exact, so
-//! the estimate is invariant under compaction, tombstone state, and
-//! rebuilds): on hot prefixes it extends the window and demands `level`
+//! count-filter `level` (`adaptive_level`) from the posting mass under
+//! its base prefix (the `PostingList::count` counters — exact, so the
+//! estimate is invariant under mutation history and rebuilds): on hot
+//! prefixes it extends the window and demands `level`
 //! shared window tokens per the generalized prefix lemma (see
 //! `crowder_simjoin::filters`). Hits at `tier ≥ level` are skipped, so
 //! a level-1 probe sees exactly the classic prefix index.
@@ -143,13 +143,12 @@ struct Posting {
 #[derive(Debug, Clone, Default)]
 struct PostingList {
     buckets: Vec<(u32, Vec<Posting>)>,
-    /// Exact number of **live** (non-tombstoned) postings in the list —
-    /// the adaptive-prefix selectivity estimate. Maintained at every
-    /// push, strip, and tombstone, so it is invariant under compaction
-    /// and rebuilds: probes pick the same count-filter level no matter
-    /// what mutation history populated the index, which is what keeps
-    /// probe output a pure function of the corpus.
-    live: u32,
+    /// Number of postings in the list — the adaptive-prefix selectivity
+    /// estimate. Every posting is a live record's, so probes pick the
+    /// same count-filter level no matter what mutation history
+    /// populated the index, which is what keeps probe output a pure
+    /// function of the corpus.
+    count: u32,
 }
 
 impl PostingList {
@@ -158,20 +157,19 @@ impl PostingList {
     /// record lengths under one rank), so the occasional header insert
     /// is cheap.
     fn push(&mut self, len: u32, posting: Posting) {
-        self.live += 1;
+        self.count += 1;
         match self.buckets.binary_search_by_key(&len, |b| b.0) {
             Ok(at) => self.buckets[at].1.push(posting),
             Err(at) => self.buckets.insert(at, (len, vec![posting])),
         }
     }
 
-    /// Drop `record`'s posting from the `len` bucket (the in-place
-    /// update path strips a record's stale prefix).
+    /// Drop `record`'s posting from the `len` bucket.
     fn remove(&mut self, len: u32, record: u32) {
         if let Ok(at) = self.buckets.binary_search_by_key(&len, |b| b.0) {
             let before = self.buckets[at].1.len();
             self.buckets[at].1.retain(|p| p.record != record);
-            self.live -= (before - self.buckets[at].1.len()) as u32;
+            self.count -= (before - self.buckets[at].1.len()) as u32;
             if self.buckets[at].1.is_empty() {
                 self.buckets.remove(at);
             }
@@ -214,11 +212,10 @@ fn index_doc(postings: &mut HashMap<u32, PostingList>, threshold: f64, record: u
     }
 }
 
-/// Mutable prefix-filter index over an appendable corpus, with
-/// tombstoned deletion: a removed record's postings stay in place but
-/// are skipped by every probe, and the next epoch rebuild drops them
-/// for good — deletion is O(1), the cleanup amortized into the rebuild
-/// the resolver already schedules.
+/// Mutable prefix-filter index over an appendable corpus. A removed
+/// record keeps its slot (record ids stay dense in arrival order) but
+/// loses its postings, doc and signature at once, so the postings only
+/// ever name live records.
 #[derive(Debug, Clone)]
 pub struct DeltaIndex {
     threshold: f64,
@@ -235,10 +232,9 @@ pub struct DeltaIndex {
     sigs: Vec<BandSignature>,
     /// Scratch of the shared probe kernel.
     scratch: ProbeScratch,
-    /// Tombstones: `false` for deleted records (slots are never
-    /// reused — record ids stay dense in arrival order).
+    /// `false` for deleted records (slots are never reused).
     alive: Vec<bool>,
-    /// Live (non-tombstoned) record count.
+    /// Live record count.
     live: usize,
 }
 
@@ -257,11 +253,11 @@ impl DeltaIndex {
     }
 
     /// Rebuild an index from exported per-record rank lists (empty for
-    /// tombstoned records) plus liveness flags — the snapshot-import
+    /// deleted records) plus liveness flags — the snapshot-import
     /// constructor. Buckets fill in record order; probe output does not
     /// depend on within-bucket order (see the module docs), so a
     /// recovered index resolves exactly like the index it was exported
-    /// from.
+    /// from. A deleted record with a non-empty list is rejected.
     pub fn from_docs(
         threshold: f64,
         docs: Vec<Vec<u32>>,
@@ -274,6 +270,11 @@ impl DeltaIndex {
                 alive.len()
             )));
         }
+        if let Some(r) = (0..docs.len()).find(|&r| !alive[r] && !docs[r].is_empty()) {
+            return Err(Error::InvalidData(format!(
+                "index import: deleted record {r} has tokens"
+            )));
+        }
         let mut index = DeltaIndex {
             live: alive.iter().filter(|&&a| a).count(),
             sigs: docs.iter().map(|d| BandSignature::build(d)).collect(),
@@ -282,9 +283,7 @@ impl DeltaIndex {
             ..Self::new(threshold)
         };
         for (r, doc) in index.docs.iter().enumerate() {
-            if index.alive[r] {
-                index_doc(&mut index.postings, threshold, r as u32, doc);
-            }
+            index_doc(&mut index.postings, threshold, r as u32, doc);
         }
         Ok(index)
     }
@@ -314,44 +313,29 @@ impl DeltaIndex {
         self.alive[record.index()]
     }
 
-    /// Tombstone one record: every future probe skips it. Its postings
-    /// are garbage until the next [`DeltaIndex::rebuild`] sweeps them,
-    /// but the live-posting estimator counters are settled right here —
-    /// an O(window) walk — so the adaptive prefix level never sees
-    /// tombstone mass (probes stay bit-identical to a compacted index).
-    /// Idempotent.
+    /// Delete one record: its postings are stripped and its doc and
+    /// signature cleared, so no later probe can reach it. The slot
+    /// stays. Idempotent.
     pub fn remove(&mut self, record: RecordId) {
         let slot = record.index();
         if std::mem::replace(&mut self.alive[slot], false) {
             self.live -= 1;
-            for rank in indexed_window(&self.docs[slot], self.threshold) {
-                if let Some(list) = self.postings.get_mut(rank) {
-                    list.live -= 1;
-                }
-            }
+            self.unindex(slot);
+            self.docs[slot] = Vec::new();
+            self.sigs[slot] = BandSignature::default();
         }
     }
 
-    /// Sweep every tombstoned posting (and dead doc) right now instead
-    /// of waiting for the next epoch [`DeltaIndex::rebuild`] — called
-    /// after a snapshot load so a recovered index starts dense, and
-    /// available on demand for long quiet periods between epochs.
-    /// Surviving postings keep their buckets and relative order, so
-    /// probe results are bit-identical before and after.
-    pub fn compact(&mut self) {
-        let alive = &self.alive;
-        self.postings.retain(|_, list| {
-            list.buckets.retain_mut(|(_, bucket)| {
-                bucket.retain(|p| alive[p.record as usize]);
-                !bucket.is_empty()
-            });
-            !list.is_empty()
-        });
-        for (r, doc) in self.docs.iter_mut().enumerate() {
-            if !alive[r] && !doc.is_empty() {
-                doc.clear();
-                doc.shrink_to_fit();
-                self.sigs[r] = BandSignature::default();
+    /// Strip the postings of `slot`'s current doc, dropping lists that
+    /// empty.
+    fn unindex(&mut self, slot: usize) {
+        let len = self.docs[slot].len() as u32;
+        for rank in indexed_window(&self.docs[slot], self.threshold) {
+            if let Some(list) = self.postings.get_mut(rank) {
+                list.remove(len, slot as u32);
+                if list.is_empty() {
+                    self.postings.remove(rank);
+                }
             }
         }
     }
@@ -450,16 +434,8 @@ impl DeltaIndex {
         let _timer = crowder_obs::span_light!("stream.delta.update_probe_ns");
         let before = *stats;
         let slot = record.index();
-        debug_assert!(self.alive[slot], "update of a tombstoned record");
-        let old_len = self.docs[slot].len() as u32;
-        for rank in indexed_window(&self.docs[slot], self.threshold) {
-            if let Some(list) = self.postings.get_mut(rank) {
-                list.remove(old_len, record.0);
-                if list.is_empty() {
-                    self.postings.remove(rank);
-                }
-            }
-        }
+        debug_assert!(self.alive[slot], "update of a deleted record");
+        self.unindex(slot);
         self.probe(
             Some(record.0),
             &doc,
@@ -536,19 +512,16 @@ impl DeltaIndex {
         }
         let t = self.threshold;
         let (min_ly, max_ly) = (min_match_len(doc.len(), t), max_match_len(doc.len(), t));
-        let (postings, docs, sigs, alive) = (&self.postings, &self.docs, &self.sigs, &self.alive);
+        let (postings, docs, sigs) = (&self.postings, &self.docs, &self.sigs);
         let sig = BandSignature::build(doc);
         let mut probe = self.scratch.start(doc, sig, t, docs.len(), |rank| {
-            postings.get(&rank).map_or(0, |l| l.live as u64)
+            postings.get(&rank).map_or(0, |l| l.count as u64)
         });
         let level = probe.level();
 
         // Phase 1: bucket headers ascend in `len`, so the admissible
         // lengths form one contiguous window of buckets (clamped by the
-        // position's truncation cutoff at level 1). Tombstoned records
-        // stay in the postings until the next rebuild; skipping them
-        // before any accounting keeps the funnel that of a live-only
-        // corpus.
+        // position's truncation cutoff at level 1).
         for (i, rank) in probe.window().iter().enumerate() {
             let Some(list) = postings.get(rank) else {
                 continue;
@@ -563,7 +536,7 @@ impl DeltaIndex {
             let mut hits = probe.at(i);
             for (len, bucket) in &list.buckets[lo..hi.max(lo)] {
                 for p in bucket {
-                    if alive[p.record as usize] && (p.tier as usize) < level {
+                    if (p.tier as usize) < level {
                         hits.hit(p.record, *len as usize, p.pos);
                     }
                 }
@@ -589,14 +562,11 @@ impl DeltaIndex {
         debug_assert_eq!(token_ids.len(), self.docs.len());
         self.postings.clear();
         for (r, ids) in token_ids.iter().enumerate() {
+            if !self.alive[r] {
+                continue; // a deleted record holds no doc
+            }
             let doc = &mut self.docs[r];
             doc.clear();
-            if !self.alive[r] {
-                // Tombstone sweep: a deleted record keeps its slot but
-                // loses its doc, signature, and postings for good.
-                self.sigs[r] = BandSignature::default();
-                continue;
-            }
             doc.extend(ids.iter().map(|&id| dict.rank(id)));
             doc.sort_unstable();
             // Ranks shifted with the epoch, so the signature is rebuilt
@@ -791,12 +761,12 @@ mod tests {
     }
 
     #[test]
-    fn compact_sweeps_dead_postings_and_preserves_results() {
+    fn remove_strips_dead_postings_and_preserves_results() {
         let (mut dataset, mut dict, mut index) =
             feed_state(&["a b c d", "a b c d", "a b c e"], 0.5);
         index.remove(RecordId(0));
-        index.compact();
-        assert!(index.doc(RecordId(0)).is_empty(), "dead doc swept");
+        assert!(index.doc(RecordId(0)).is_empty(), "dead doc cleared");
+        assert_live_only(&index);
         assert!(!index.doc(RecordId(1)).is_empty());
         // A new arrival still matches the live records, and only them.
         dataset
@@ -878,7 +848,7 @@ mod tests {
         assert_eq!(index.live(), 0);
         assert!(!index.is_alive(RecordId(0)));
         // An identical arrival finds nothing: the only indexed record
-        // is tombstoned (filtered probe path).
+        // is deleted (filtered probe path).
         push(
             &mut dataset,
             &mut dict,
@@ -888,7 +858,7 @@ mod tests {
             "a b c d",
         );
         assert!(out.is_empty(), "{out:?}");
-        // The exhaustive path (threshold 0) also honors tombstones.
+        // The exhaustive path (threshold 0) also skips deleted records.
         let mut dataset0 = Dataset::new("z", vec!["name".into()], PairSpace::SelfJoin);
         let mut dict0 = StreamingDict::new();
         let mut index0 = DeltaIndex::new(0.0);
@@ -912,7 +882,9 @@ mod tests {
             "x y",
         );
         assert!(out0.is_empty());
-        // A rebuild sweeps the dead postings; live records still match.
+        // The dead doc is gone at once and stays gone across a rebuild;
+        // live records still match.
+        assert!(index.doc(RecordId(0)).is_empty(), "dead doc cleared");
         push(
             &mut dataset,
             &mut dict,
@@ -932,7 +904,89 @@ mod tests {
             })
             .collect();
         index.rebuild(&dict, &token_ids);
-        assert!(index.doc(RecordId(0)).is_empty(), "dead doc swept");
+        assert!(index.doc(RecordId(0)).is_empty(), "dead doc stays empty");
         assert!(!index.doc(RecordId(1)).is_empty());
+        assert_live_only(&index);
+    }
+
+    /// The index holds only live records: no posting names a dead
+    /// record, no dead record keeps a doc, and each list's count equals
+    /// its number of postings (no list or bucket is left empty).
+    fn assert_live_only(index: &DeltaIndex) {
+        for (rank, list) in &index.postings {
+            let mut postings = 0;
+            for (len, bucket) in &list.buckets {
+                assert!(!bucket.is_empty(), "rank {rank}: empty bucket {len}");
+                for p in bucket {
+                    assert!(
+                        index.alive[p.record as usize],
+                        "rank {rank}: dead {}",
+                        p.record
+                    );
+                }
+                postings += bucket.len();
+            }
+            assert!(postings > 0, "rank {rank}: empty list");
+            assert_eq!(list.count as usize, postings, "rank {rank}: count");
+        }
+        for (r, doc) in index.docs.iter().enumerate() {
+            assert!(
+                index.alive[r] || doc.is_empty(),
+                "dead record {r} keeps a doc"
+            );
+        }
+    }
+
+    #[test]
+    fn postings_hold_only_live_records_through_a_mutation_script() {
+        const WORDS: [&str; 10] = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut roll = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut dataset = Dataset::new("t", vec!["name".into()], PairSpace::SelfJoin);
+        let mut dict = StreamingDict::new();
+        let mut index = DeltaIndex::new(0.4);
+        let mut token_ids: Vec<Vec<u32>> = Vec::new();
+        let (mut out, mut stats) = (Vec::new(), JoinStats::default());
+        for _ in 0..400 {
+            let name: Vec<&str> = (0..1 + roll(6)).map(|_| WORDS[roll(WORDS.len())]).collect();
+            let ids = dict.encode_record(&tokenize(&name.join(" ")));
+            let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
+            doc.sort_unstable();
+            let alive: Vec<u32> = (0..index.len() as u32)
+                .filter(|&r| index.is_alive(RecordId(r)))
+                .collect();
+            out.clear();
+            match roll(10) {
+                0..=4 => {
+                    dataset
+                        .push_record(SourceId(0), vec![name.join(" ")])
+                        .unwrap();
+                    token_ids.push(ids);
+                    index.join_and_insert(&dataset, doc, &mut out, &mut stats);
+                }
+                5 | 6 if !alive.is_empty() => index.remove(RecordId(alive[roll(alive.len())])),
+                7 | 8 if !alive.is_empty() => {
+                    let record = RecordId(alive[roll(alive.len())]);
+                    token_ids[record.index()] = ids;
+                    index.update_doc(&dataset, record, doc, &mut out, &mut stats);
+                }
+                _ => {
+                    dict.rerank();
+                    index.rebuild(&dict, &token_ids);
+                }
+            }
+            assert_live_only(&index);
+            let live_pair = |p: Pair| index.is_alive(p.lo()) && index.is_alive(p.hi());
+            assert!(out.iter().all(|sp| live_pair(sp.pair)), "{out:?}");
+        }
+        assert!(
+            index.live() > 0 && index.live() < index.len(),
+            "script exercised removes"
+        );
     }
 }

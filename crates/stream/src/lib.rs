@@ -29,10 +29,10 @@
 //!   crate keeps only the posting lists, which are **bucketed by record
 //!   length** (O(1) append per arrival) so the length filter is a
 //!   binary-searched window over bucket headers, not a per-candidate
-//!   check — see the [`delta`] module docs. Deletion is a **tombstone**: the dead
-//!   slot is skipped by every probe immediately (O(1) to delete) and its
-//!   postings are swept out at the next epoch rebuild, so churn never
-//!   degrades the index permanently. Read-only **query probes**
+//!   check — see the [`delta`] module docs. Deletion strips the dead
+//!   record's postings at once (the same strip an in-place update
+//!   runs), so the index only ever holds live records and churn never
+//!   degrades it. Read-only **query probes**
 //!   ([`IncrementalResolver::query`] over
 //!   [`DeltaIndex::probe_query`]) answer "what would this record
 //!   match?" without mutating the corpus — the serving surface

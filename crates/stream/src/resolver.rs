@@ -8,7 +8,7 @@
 //!   against the live corpus, thread new match edges into the dynamic
 //!   cluster graph, mark touched clusters dirty.
 //! * [`IncrementalResolver::remove`] — tombstone a record (GDPR-style
-//!   deletion): its index postings are skipped from now on, every pair
+//!   deletion): its slot stays but its index postings are stripped, every pair
 //!   touching it is dropped from the pair set, its evidence is purged,
 //!   and each of its cluster edges is cut — clusters *shrink or split*
 //!   and are marked dirty so the next flush re-checks their HITs.
@@ -740,14 +740,6 @@ impl IncrementalResolver {
         self.dict.rerank();
         self.index.rebuild(&self.dict, &self.token_ids);
         self.inserts_since_rebuild = 0;
-    }
-
-    /// Sweep tombstoned postings out of the delta index immediately
-    /// (see [`DeltaIndex::compact`]) instead of waiting for the next
-    /// epoch rebuild. Called after a snapshot import so a recovered
-    /// index starts dense; observable probe behavior is unchanged.
-    pub fn compact_index(&mut self) {
-        self.index.compact();
     }
 
     /// Repair the live HIT set after the mutations since the last
@@ -1863,14 +1855,13 @@ mod tests {
     }
 
     #[test]
-    fn rerank_now_and_compact_preserve_exactness() {
+    fn rerank_now_after_a_remove_preserves_exactness() {
         let mut r = resolver(0.4);
         feed(
             &mut r,
             &["a b c d", "a b c e", "a b c f", "x y z", "x y z w"],
         );
         r.remove(RecordId(1)).unwrap();
-        r.compact_index();
         let before = r.ranked_pairs();
         let epochs = r.epochs();
         r.rerank_now();
@@ -1912,7 +1903,6 @@ mod tests {
         let state = r.export_state().unwrap();
         let mut imported =
             IncrementalResolver::import_state(r.config().clone(), state.clone()).unwrap();
-        imported.compact_index();
         // Identical present state…
         assert_eq!(imported.ranked_pairs(), r.ranked_pairs());
         assert_eq!(imported.pairs(), r.pairs());

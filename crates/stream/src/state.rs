@@ -21,7 +21,8 @@
 //!
 //! What is **derived** on import: token-id lists re-encode from the
 //! stored fields through the dictionary; index postings rebuild from
-//! the rank lists in canonical record order (see `DeltaIndex`); the
+//! the live records' rank lists in canonical record order (see
+//! `DeltaIndex`; a deleted record has none); the
 //! `machine` membership set is the pair list; the cluster edges and
 //! the to-verify pairs follow from the pairs, the tallies and the
 //! liveness flags under the edge-state rule (see the `resolver` module

@@ -294,7 +294,6 @@ proptest! {
         let exported = resolver.export_state().unwrap();
         let mut replica =
             IncrementalResolver::import_state(resolver.config().clone(), exported).unwrap();
-        replica.compact_index();
         // Drive both sides through an identical future.
         let mut futures = [&mut resolver, &mut replica];
         for name in suffix {

@@ -49,7 +49,6 @@ fn script() -> Vec<WalOp> {
         });
     }
     ops.push(WalOp::Flush);
-    ops.push(WalOp::Weights(vec![(1, 1.25), (2, 0.75)]));
     ops.push(WalOp::Evidence {
         pair: Pair::of(0, 1),
         verdict: true,

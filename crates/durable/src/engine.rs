@@ -241,7 +241,7 @@ impl<D: Dir + Clone> DurableResolver<D> {
         let Some(log) = &mut self.log else {
             return Ok(());
         };
-        log.wal.log(&op);
+        log.wal.log(&op)?;
         log.ops_since_snapshot += 1;
         if log.wal.buffered() >= log.config.sync_every_ops {
             log.wal.flush()?;

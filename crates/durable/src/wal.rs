@@ -212,7 +212,19 @@ impl<D: Dir> WalWriter<D> {
 
     /// Buffer one op as a frame; returns its sequence number. Not
     /// durable until [`flush`](Self::flush).
-    pub fn log(&mut self, op: &WalOp) -> u64 {
+    ///
+    /// An op that [`WalOp::decode`] would refuse — an `Evidence` weight
+    /// that is NaN, infinite or negative — is an
+    /// [`Error::InvalidData`], and nothing is buffered: such a frame
+    /// would make the whole log unrecoverable.
+    pub fn log(&mut self, op: &WalOp) -> Result<u64> {
+        if let WalOp::Evidence { weight, .. } = op {
+            if !valid_weight(*weight) {
+                return Err(Error::InvalidData(format!(
+                    "WAL: refusing to log vote weight {weight}"
+                )));
+            }
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut payload = Enc::new();
@@ -228,7 +240,7 @@ impl<D: Dir> WalWriter<D> {
         if crowder_obs::recording() {
             crowder_obs::counter!("durable.wal.frames_logged").incr();
         }
-        seq
+        Ok(seq)
     }
 
     /// Ops buffered but not yet durable.
@@ -407,18 +419,44 @@ mod tests {
             assert!(WalOp::decode(&mut Dec::new(&bytes)).is_err(), "{op:?}");
         }
         // In a log, such a frame is corruption, like any other
-        // checksummed frame that does not decode.
+        // checksummed frame that does not decode. The writer refuses to
+        // log one, so it is written by hand.
         let dir = MemDir::new();
         let mut w = WalWriter::create(dir.clone(), 0).unwrap();
-        w.log(&WalOp::Flush);
-        w.log(&WalOp::Evidence {
+        w.log(&WalOp::Flush).unwrap();
+        w.flush().unwrap();
+        let mut nan = Enc::new();
+        WalOp::Evidence {
             pair: Pair::of(0, 1),
             verdict: false,
             weight: f64::NAN,
-        });
-        w.log(&WalOp::Flush);
+        }
+        .encode(&mut nan);
+        dir.append(WAL_NAME, &raw_frame(2, &nan.into_bytes()))
+            .unwrap();
+        let mut w = WalWriter::resume(dir.clone(), 2).unwrap();
+        w.log(&WalOp::Flush).unwrap();
         w.flush().unwrap();
         assert!(matches!(read_wal(&dir), Err(Error::InvalidData(_))));
+    }
+
+    #[test]
+    fn unusable_weights_are_refused_before_buffering() {
+        let dir = MemDir::new();
+        let mut w = WalWriter::create(dir.clone(), 4).unwrap();
+        w.log(&WalOp::Flush).unwrap();
+        for weight in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.25] {
+            let op = WalOp::Evidence {
+                pair: Pair::of(0, 1),
+                verdict: true,
+                weight,
+            };
+            assert!(matches!(w.log(&op), Err(Error::InvalidData(_))), "{op:?}");
+            assert_eq!((w.buffered(), w.next_seq()), (1, 6), "{op:?}");
+        }
+        w.flush().unwrap();
+        let frames = read_wal(&dir).unwrap().frames;
+        assert_eq!(frames, vec![(5, WalOp::Flush)]);
     }
 
     #[test]
@@ -440,7 +478,7 @@ mod tests {
         engine.sync().unwrap();
         dir.append(WAL_NAME, &raw_frame(2, &[9])).unwrap();
         let mut w = WalWriter::resume(dir.clone(), 2).unwrap();
-        w.log(&WalOp::Flush);
+        w.log(&WalOp::Flush).unwrap();
         w.flush().unwrap();
         let len = dir.read(WAL_NAME).unwrap().unwrap().len();
         match read_wal(&dir) {
@@ -483,7 +521,7 @@ mod tests {
         let mut w = WalWriter::create(dir.clone(), 10).unwrap();
         let ops = sample_ops();
         for (i, op) in ops.iter().enumerate() {
-            assert_eq!(w.log(op), 11 + i as u64);
+            assert_eq!(w.log(op).unwrap(), 11 + i as u64);
         }
         assert_eq!(w.buffered(), ops.len());
         w.flush().unwrap();
@@ -500,7 +538,7 @@ mod tests {
     fn unflushed_frames_are_not_durable() {
         let dir = MemDir::new();
         let mut w = WalWriter::create(dir.clone(), 0).unwrap();
-        w.log(&WalOp::Flush);
+        w.log(&WalOp::Flush).unwrap();
         assert!(read_wal(&dir).unwrap().frames.is_empty());
         w.flush().unwrap();
         assert_eq!(read_wal(&dir).unwrap().frames.len(), 1);
@@ -511,7 +549,7 @@ mod tests {
         let dir = MemDir::new();
         let mut w = WalWriter::create(dir.clone(), 0).unwrap();
         for op in sample_ops() {
-            w.log(&op);
+            w.log(&op).unwrap();
         }
         w.flush().unwrap();
         let full = dir.read(WAL_NAME).unwrap().unwrap();
@@ -536,7 +574,7 @@ mod tests {
         let dir = MemDir::new();
         let mut w = WalWriter::create(dir.clone(), 0).unwrap();
         for op in sample_ops() {
-            w.log(&op);
+            w.log(&op).unwrap();
         }
         w.flush().unwrap();
         let full = dir.read(WAL_NAME).unwrap().unwrap();
@@ -586,12 +624,12 @@ mod tests {
     fn resume_continues_the_sequence() {
         let dir = MemDir::new();
         let mut w = WalWriter::create(dir.clone(), 0).unwrap();
-        w.log(&WalOp::Flush);
-        w.log(&WalOp::EpochRerank);
+        w.log(&WalOp::Flush).unwrap();
+        w.log(&WalOp::EpochRerank).unwrap();
         w.flush().unwrap();
         let contents = read_wal(&dir).unwrap();
         let mut w2 = WalWriter::resume(dir.clone(), contents.last_seq()).unwrap();
-        assert_eq!(w2.log(&WalOp::Remove(RecordId(1))), 3);
+        assert_eq!(w2.log(&WalOp::Remove(RecordId(1))).unwrap(), 3);
         w2.flush().unwrap();
         let all = read_wal(&dir).unwrap();
         assert_eq!(all.frames.len(), 3);

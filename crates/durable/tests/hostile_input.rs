@@ -8,8 +8,10 @@
 //! `DurableResolver::recover` return `Ok` or `Err`, never panic.
 
 use crowder_durable::codec::{Dec, Enc};
+use crowder_durable::crc::crc32;
 use crowder_durable::snapshot::{decode_payload, encode_payload};
-use crowder_durable::{DurabilityConfig, DurableResolver, MemDir, WalOp, WalWriter};
+use crowder_durable::wal::WAL_NAME;
+use crowder_durable::{Dir, DurabilityConfig, DurableResolver, MemDir, WalOp};
 use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{Pair, PairSpace, RecordId, SourceId};
 use proptest::prelude::*;
@@ -144,7 +146,9 @@ fn hostile_op(kind: u8, (a, b): (u32, u32), c: u8) -> WalOp {
 
 /// An engine over a [`MemDir`] holding four records (one removed) and
 /// one vote, synced; then `ops` appended as CRC-valid frames after its
-/// last one. Returns the directory, ready for recovery.
+/// last one. The frames are written by hand (length, CRC-32, then the
+/// sequence number and op encoding), since `WalWriter::log` refuses an
+/// op no engine would log. Returns the directory, ready for recovery.
 fn log_with_hostile_tail(ops: &[WalOp]) -> MemDir {
     let dir = MemDir::new();
     let mut engine = DurableResolver::create(
@@ -162,11 +166,17 @@ fn log_with_hostile_tail(ops: &[WalOp]) -> MemDir {
     engine.record_evidence(Pair::of(0, 1), true, 1.0).unwrap();
     engine.remove(RecordId(3)).unwrap();
     engine.sync().unwrap();
-    let mut wal = WalWriter::resume(dir.clone(), engine.last_seq()).unwrap();
-    for op in ops {
-        wal.log(op);
+    let mut frames = Enc::new();
+    for (seq, op) in (engine.last_seq() + 1..).zip(ops) {
+        let mut payload = Enc::new();
+        payload.u64(seq);
+        op.encode(&mut payload);
+        let payload = payload.into_bytes();
+        frames.u32(payload.len() as u32);
+        frames.u32(crc32(&payload));
+        frames.bytes(&payload);
     }
-    wal.flush().unwrap();
+    dir.append(WAL_NAME, &frames.into_bytes()).unwrap();
     dir
 }
 

@@ -9,8 +9,9 @@
 //!
 //! * [`pairs_by_component`] — a pair list split by connected component
 //!   (the two-tiered algorithm's first step, Algorithm 1 line 2),
-//! * [`MutGraph`] — an adjacency-set graph supporting the edge removals
-//!   every generator performs ("remove the edges covered by H"),
+//! * [`HitGraph`] — a flat CSR graph over dense local ids supporting
+//!   the edge removals every generator performs ("remove the edges
+//!   covered by H"), with the max-degree query Algorithm 2 seeds from,
 //! * [`UnionFind`] — disjoint sets for component labelling (grow-only),
 //! * [`DynamicConnectivity`] — fully-dynamic connectivity with edge
 //!   *removal* and split detection, the substrate of fault-tolerant
@@ -20,10 +21,10 @@
 
 pub mod components;
 pub mod dynforest;
-pub mod mutgraph;
+pub mod hitgraph;
 pub mod unionfind;
 
 pub use components::pairs_by_component;
 pub use dynforest::{DynamicConnectivity, EdgeCut, EdgeLink};
-pub use mutgraph::MutGraph;
+pub use hitgraph::HitGraph;
 pub use unionfind::UnionFind;

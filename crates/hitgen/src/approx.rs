@@ -17,7 +17,7 @@
 
 use crate::hit::{ClusterGenerator, Hit};
 use crate::validate::check_k;
-use crowder_graph::MutGraph;
+use crowder_graph::HitGraph;
 use crowder_types::{Pair, RecordId, Result};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -57,23 +57,24 @@ impl ApproxGenerator {
     /// its incident edges.
     fn build_seq(&self, pairs: &[Pair]) -> Vec<SeqElem> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut graph = MutGraph::from_pairs(pairs);
+        let mut graph = HitGraph::from_pairs(pairs);
         let mut seq = Vec::with_capacity(graph.vertex_count() + graph.edge_count());
-        // Track every vertex ever seen so isolated leftovers also enter
-        // SEQ (the paper's SEQ holds *all* vertices and edges: 9 + 10
-        // elements for Figure 5... the paper counts 19).
-        let mut alive: BTreeSet<RecordId> = graph.vertices().into_iter().collect();
-        while !alive.is_empty() {
-            let candidates: Vec<RecordId> = alive.iter().copied().collect();
-            let v = *candidates.choose(&mut rng).expect("alive is non-empty");
-            alive.remove(&v);
-            seq.push(SeqElem::Vertex(v));
-            let incident: Vec<RecordId> = graph.neighbors(v).collect();
-            for u in incident {
-                let pair = Pair::new(v, u).expect("distinct");
-                seq.push(SeqElem::Edge(pair));
-                graph.remove_edge(pair);
+        // Every vertex is drawn once, isolated leftovers included (the
+        // paper's SEQ holds *all* vertices and edges: 9 + 10 = 19
+        // elements for Figure 5). The unpicked vertices stay sorted, so
+        // the draw picks by rank in record order.
+        let mut alive: Vec<usize> = (0..graph.vertex_count()).collect();
+        while let Some(&v) = alive.choose(&mut rng) {
+            let at = alive.binary_search(&v).expect("v is alive");
+            alive.remove(at);
+            let r = graph.record(v);
+            seq.push(SeqElem::Vertex(r));
+            for u in graph.neighbors(v) {
+                seq.push(SeqElem::Edge(
+                    Pair::new(r, graph.record(u)).expect("distinct"),
+                ));
             }
+            graph.isolate(v);
         }
         seq
     }

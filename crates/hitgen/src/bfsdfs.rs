@@ -9,23 +9,21 @@
 
 use crate::hit::{ClusterGenerator, Hit};
 use crate::validate::check_k;
-use crowder_graph::MutGraph;
+use crowder_graph::HitGraph;
 use crowder_types::{Pair, Result};
+use std::collections::VecDeque;
 
 /// Shared engine for the two traversal baselines.
 fn traversal_generate(pairs: &[Pair], k: usize, bfs: bool) -> Result<Vec<Hit>> {
     check_k(k)?;
-    let mut graph = MutGraph::from_pairs(pairs);
+    let mut graph = HitGraph::from_pairs(pairs);
+    let mut walk = Traversal::new(graph.vertex_count());
     let mut hits = Vec::new();
     while !graph.is_edgeless() {
         // Only the first k vertices of the traversal are consumed, so the
         // prefix walk stops early instead of ordering the whole graph.
-        let prefix = if bfs {
-            graph.bfs_prefix(k)
-        } else {
-            graph.dfs_prefix(k)
-        };
-        let hit = Hit::cluster(prefix.iter().copied());
+        let prefix = walk.prefix(&graph, bfs, k);
+        let hit = Hit::cluster(prefix.iter().map(|&v| graph.record(v)));
         let removed = graph.remove_covered_edges(&prefix);
         debug_assert!(
             removed > 0,
@@ -34,6 +32,78 @@ fn traversal_generate(pairs: &[Pair], k: usize, bfs: bool) -> Result<Vec<Hit>> {
         hits.push(hit);
     }
     Ok(hits)
+}
+
+/// Traversal state kept across the HITs of one run.
+struct Traversal {
+    /// Every vertex below it has no live edge. A vertex never regains an
+    /// edge, so it only moves forward.
+    cursor: usize,
+    /// Marked on push (a vertex enters the frontier once); reset after
+    /// each prefix through `touched`.
+    visited: Vec<bool>,
+    touched: Vec<usize>,
+    frontier: VecDeque<usize>,
+}
+
+impl Traversal {
+    fn new(n: usize) -> Self {
+        Traversal {
+            cursor: 0,
+            visited: vec![false; n],
+            touched: Vec::new(),
+            frontier: VecDeque::new(),
+        }
+    }
+
+    /// The first `limit` vertices of the traversal order over the live
+    /// graph: repeatedly BFS (or DFS) from the smallest unvisited vertex
+    /// that still has an edge, neighbors in ascending id order.
+    fn prefix(&mut self, graph: &HitGraph, bfs: bool, limit: usize) -> Vec<usize> {
+        while self.cursor < graph.vertex_count() && graph.degree(self.cursor) == 0 {
+            self.cursor += 1;
+        }
+        let mut order = Vec::with_capacity(limit.min(graph.vertex_count()));
+        'starts: for start in self.cursor..graph.vertex_count() {
+            if order.len() >= limit {
+                break;
+            }
+            if self.visited[start] || graph.degree(start) == 0 {
+                continue;
+            }
+            self.frontier.clear();
+            self.frontier.push_back(start);
+            self.visited[start] = true;
+            self.touched.push(start);
+            while let Some(v) = if bfs {
+                self.frontier.pop_front()
+            } else {
+                self.frontier.pop_back()
+            } {
+                order.push(v);
+                if order.len() >= limit {
+                    break 'starts;
+                }
+                // DFS reverses the neighbors it just pushed, so the
+                // smallest id pops first.
+                let before = self.frontier.len();
+                for u in graph.neighbors(v) {
+                    if !self.visited[u] {
+                        self.visited[u] = true;
+                        self.touched.push(u);
+                        self.frontier.push_back(u);
+                    }
+                }
+                if !bfs {
+                    self.frontier.make_contiguous()[before..].reverse();
+                }
+            }
+        }
+        for v in self.touched.drain(..) {
+            self.visited[v] = false;
+        }
+        order
+    }
 }
 
 /// Breadth-first-search baseline generator.
@@ -115,6 +185,37 @@ mod tests {
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].size(), 2);
         }
+    }
+
+    #[test]
+    fn bfs_and_dfs_orders_cover_all_vertices() {
+        let graph = HitGraph::from_pairs(&figure2a_pairs());
+        let mut walk = Traversal::new(graph.vertex_count());
+        let records = |order: Vec<usize>| -> Vec<u32> {
+            order.into_iter().map(|v| graph.record(v).0).collect()
+        };
+        let bfs = records(walk.prefix(&graph, true, usize::MAX));
+        let dfs = records(walk.prefix(&graph, false, usize::MAX));
+        let mut b = bfs.clone();
+        b.sort_unstable();
+        assert_eq!(b, (1..=9).collect::<Vec<_>>());
+        assert_eq!(dfs.len(), 9);
+        // BFS from r1 visits r1's neighbors (r2, r7) before deeper vertices.
+        assert_eq!(&bfs[..3], &[1, 2, 7]);
+        // DFS from r1 goes deep first: r1 → r2 → r3 (visited-at-push:
+        // r7 was marked when r1 pushed it, so r2 passes over it).
+        assert_eq!(&dfs[..3], &[1, 2, 3]);
+        // A short prefix stops early; the next walk starts afresh.
+        assert_eq!(records(walk.prefix(&graph, true, 2)), vec![1, 2]);
+    }
+
+    #[test]
+    fn empty_graph_behaviour() {
+        let graph = HitGraph::from_pairs(&[]);
+        assert!(Traversal::new(0)
+            .prefix(&graph, true, usize::MAX)
+            .is_empty());
+        assert!(BfsGenerator.generate(&[], 4).unwrap().is_empty());
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!   approximation, §4) and [`TwoTieredGenerator`] (the paper's
 //!   contribution, §5).
 //!
+//! All five build one flat [`HitGraph`](crowder_graph::HitGraph) from
+//! their pairs (the two-tiered generator one per large connected
+//! component) and remove covered edges from it as they emit HITs. Its
+//! dense local ids order like record ids, so every "smallest id"
+//! tie-break, and with it every HIT, is the same as over record ids.
+//!
 //! [`comparisons`] implements the §6 back-of-the-envelope model of how
 //! many record comparisons a worker performs per HIT; the crowd
 //! simulator's latency model is built on it. [`validate`] checks the

@@ -8,11 +8,12 @@
 
 use crate::hit::{ClusterGenerator, Hit};
 use crate::validate::check_k;
+use crowder_graph::HitGraph;
 use crowder_types::{Pair, RecordId, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Seeded random cluster-HIT generator.
 #[derive(Debug, Clone)]
@@ -39,49 +40,54 @@ impl ClusterGenerator for RandomGenerator {
         // Deduplicated work list, shuffled once; "random selection" then
         // walks it front to back. Covered pairs are deleted lazily via
         // the live-edge graph instead of an O(|P|) retain per HIT.
-        let mut order: Vec<Pair> = {
-            let set: BTreeSet<Pair> = pairs.iter().copied().collect();
-            set.into_iter().collect()
-        };
+        let mut live = HitGraph::from_pairs(pairs);
+        let mut order = pairs.to_vec();
+        order.sort_unstable();
+        order.dedup();
         order.shuffle(&mut rng);
-        let mut live = crowder_graph::MutGraph::from_pairs(&order);
-        // Work queue: dead pairs are dropped as they surface; pairs that
-        // do not fit the HIT under construction are deferred to the next
-        // HIT, preserving the shuffled selection order.
-        let mut pending: std::collections::VecDeque<Pair> = order.into();
-        let mut deferred: Vec<Pair> = Vec::new();
+        let local = |r: RecordId| live.vertex(r).expect("every endpoint is a vertex");
+        // Work queue of local endpoint pairs: dead pairs are dropped as
+        // they surface; pairs that do not fit the HIT under construction
+        // are deferred to the next HIT, preserving the shuffled
+        // selection order.
+        let mut pending: VecDeque<(usize, usize)> = order
+            .iter()
+            .map(|p| (local(p.lo()), local(p.hi())))
+            .collect();
+        let mut deferred: Vec<(usize, usize)> = Vec::new();
 
         let mut hits = Vec::new();
+        let mut members: Vec<usize> = Vec::with_capacity(k.min(live.vertex_count()));
+        let mut in_hit = vec![false; live.vertex_count()];
         while !live.is_edgeless() {
-            let mut members: BTreeSet<RecordId> = BTreeSet::new();
-            while let Some(pair) = pending.pop_front() {
-                if !live.has_edge(&pair) {
+            while let Some((a, b)) = pending.pop_front() {
+                if !live.has_edge(a, b) {
                     continue; // already covered by an earlier HIT
                 }
-                let mut added = 0usize;
-                if !members.contains(&pair.lo()) {
-                    added += 1;
-                }
-                if !members.contains(&pair.hi()) {
-                    added += 1;
-                }
+                let added = usize::from(!in_hit[a]) + usize::from(!in_hit[b]);
                 if members.len() + added <= k {
-                    members.insert(pair.lo());
-                    members.insert(pair.hi());
+                    for v in [a, b] {
+                        if !in_hit[v] {
+                            in_hit[v] = true;
+                            members.push(v);
+                        }
+                    }
                     if members.len() == k {
                         break;
                     }
                 } else {
-                    deferred.push(pair);
+                    deferred.push((a, b));
                 }
             }
             if members.is_empty() {
                 // k < 2 is rejected above; k ≥ 2 always fits one pair.
                 unreachable!("a pair always fits in a HIT of size >= 2");
             }
-            let records: Vec<RecordId> = members.iter().copied().collect();
-            live.remove_covered_edges(&records);
-            hits.push(Hit::cluster(records));
+            live.remove_covered_edges(&members);
+            hits.push(Hit::cluster(members.iter().map(|&v| live.record(v))));
+            for v in members.drain(..) {
+                in_hit[v] = false;
+            }
             // Deferred pairs stay at the head of the selection order.
             for pair in deferred.drain(..).rev() {
                 pending.push_front(pair);

@@ -5,7 +5,9 @@
 //!   components by greedily growing from the max-degree vertex, picking
 //!   at each step the neighbor with maximum *indegree* into the growing
 //!   component (ties: minimum *outdegree* to the rest of the graph), and
-//!   removing covered edges between rounds.
+//!   removing covered edges between rounds. It runs on one flat
+//!   [`HitGraph`] per large component, with the growing component's
+//!   indegrees in a dense array, so every step costs array reads only.
 //! * **Bottom tier** (`crowder-packing`): pack the resulting small
 //!   components into ≤ k-sized HITs (§5.3's cutting-stock program) with
 //!   first-fit-decreasing, checked against the Martello–Toth L2 bound
@@ -13,10 +15,9 @@
 
 use crate::hit::{ClusterGenerator, Hit};
 use crate::validate::check_k;
-use crowder_graph::MutGraph;
+use crowder_graph::HitGraph;
 use crowder_packing::{pack_items, PackingConfig};
 use crowder_types::{Pair, RecordId, Result};
-use std::collections::BTreeSet;
 
 /// Configuration of the two-tiered generator.
 #[derive(Debug, Clone, Default)]
@@ -62,12 +63,13 @@ impl ClusterGenerator for TwoTieredGenerator {
         // Lines 3-5: SCCs pass through; LCCs are partitioned.
         let mut sccs: Vec<Vec<RecordId>> = Vec::new();
         for group in component_pairs {
-            let vertices: BTreeSet<RecordId> =
-                group.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
+            let mut vertices: Vec<RecordId> = group.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
+            vertices.sort_unstable();
+            vertices.dedup();
             if vertices.len() <= k {
-                sccs.push(vertices.into_iter().collect());
+                sccs.push(vertices);
             } else {
-                let mut lcc = MutGraph::from_pairs(&group);
+                let mut lcc = HitGraph::from_pairs(&group);
                 sccs.extend(partition_lcc(
                     &mut lcc,
                     k,
@@ -89,75 +91,91 @@ impl ClusterGenerator for TwoTieredGenerator {
 }
 
 /// Top tier (Algorithm 2): partition one large connected component into
-/// small connected components whose union covers all its edges.
+/// small connected components whose union covers all its edges. Each
+/// returned component is sorted by record id.
 ///
 /// `lcc` is consumed (edges are removed as they are covered).
 /// `outdegree_tiebreak` enables the paper's min-outdegree rule for
 /// indegree ties; when disabled, ties fall to the smallest record id.
-pub fn partition_lcc(lcc: &mut MutGraph, k: usize, outdegree_tiebreak: bool) -> Vec<Vec<RecordId>> {
+///
+/// `conn` (line 6) is a list of the vertices adjacent to the growing
+/// component plus a dense indegree array over local ids, non-zero
+/// exactly on that list and reset through it after each round. Local
+/// ids order like record ids, so every tie-break compares local ids.
+pub fn partition_lcc(lcc: &mut HitGraph, k: usize, outdegree_tiebreak: bool) -> Vec<Vec<RecordId>> {
+    let n = lcc.vertex_count();
+    let mut indegree = vec![0u32; n];
+    let mut in_scc = vec![false; n];
+    let mut conn: Vec<usize> = Vec::new();
+    let mut scc: Vec<usize> = Vec::new();
     let mut sccs = Vec::new();
     // Line 3: while the component still has uncovered edges.
-    while !lcc.is_edgeless() {
-        // Lines 4-5: seed with the max-degree vertex.
-        let rmax = lcc.max_degree_vertex().expect("graph has edges");
-        let mut scc: BTreeSet<RecordId> = BTreeSet::new();
-        scc.insert(rmax);
-        // Line 6: conn = neighbors of the seed, with their indegree
-        // w.r.t. scc cached (invariant: conn holds exactly the non-scc
-        // vertices adjacent to scc, so a newly discovered vertex starts
-        // at indegree 1 and known vertices increment as scc grows).
-        let mut conn: std::collections::BTreeMap<RecordId, usize> =
-            lcc.neighbors(rmax).map(|u| (u, 1usize)).collect();
+    while let Some(rmax) = lcc.max_degree_vertex() {
+        // Lines 4-6: seed with the max-degree vertex; conn = its
+        // neighbors, each at indegree 1.
+        scc.push(rmax);
+        in_scc[rmax] = true;
+        for u in lcc.neighbors(rmax) {
+            indegree[u] = 1;
+            conn.push(u);
+        }
 
         // Lines 7-12: grow until |scc| = k or conn empties.
         while scc.len() < k && !conn.is_empty() {
-            let rnew = pick_vertex(lcc, &conn, outdegree_tiebreak);
-            conn.remove(&rnew);
-            scc.insert(rnew);
+            let at = pick_vertex(lcc, &conn, &indegree, outdegree_tiebreak);
+            let rnew = conn.swap_remove(at);
+            indegree[rnew] = 0;
+            scc.push(rnew);
+            in_scc[rnew] = true;
             for u in lcc.neighbors(rnew) {
-                if !scc.contains(&u) {
-                    *conn.entry(u).or_insert(0) += 1;
+                if !in_scc[u] {
+                    if indegree[u] == 0 {
+                        conn.push(u);
+                    }
+                    indegree[u] += 1;
                 }
             }
         }
+        for u in conn.drain(..) {
+            indegree[u] = 0;
+        }
 
         // Lines 13-14: emit the SCC and drop its covered edges.
-        let members: Vec<RecordId> = scc.into_iter().collect();
-        let removed = lcc.remove_covered_edges(&members);
+        scc.sort_unstable();
+        let removed = lcc.remove_covered_edges(&scc);
         debug_assert!(removed > 0, "each round covers at least one seed edge");
-        sccs.push(members);
+        sccs.push(scc.iter().map(|&v| lcc.record(v)).collect());
+        for v in scc.drain(..) {
+            in_scc[v] = false;
+        }
     }
     sccs
 }
 
-/// Line 8 of Algorithm 2: the conn vertex with maximum indegree w.r.t.
-/// `scc`; ties by minimum outdegree (or smallest id when the tie-break is
-/// disabled); remaining ties by smallest id for determinism.
+/// Line 8 of Algorithm 2: the position in `conn` of the vertex with
+/// maximum indegree w.r.t. the growing component; ties by minimum
+/// outdegree (or smallest id when the tie-break is disabled); remaining
+/// ties by smallest id for determinism.
 fn pick_vertex(
-    graph: &MutGraph,
-    conn: &std::collections::BTreeMap<RecordId, usize>,
+    graph: &HitGraph,
+    conn: &[usize],
+    indegree: &[u32],
     outdegree_tiebreak: bool,
-) -> RecordId {
-    let mut best: Option<(usize, usize, RecordId)> = None;
-    for (&r, &indegree) in conn {
-        let outdegree = graph.degree(r) - indegree;
-        let key = (indegree, if outdegree_tiebreak { outdegree } else { 0 }, r);
-        best = Some(match best {
-            None => key,
-            Some(cur) => {
-                // Higher indegree wins; then lower outdegree; then lower id.
-                if key.0 > cur.0
-                    || (key.0 == cur.0 && key.1 < cur.1)
-                    || (key.0 == cur.0 && key.1 == cur.1 && key.2 < cur.2)
-                {
-                    key
-                } else {
-                    cur
-                }
-            }
-        });
-    }
-    best.expect("conn is non-empty").2
+) -> usize {
+    let key = |v: usize| {
+        let ind = indegree[v] as usize;
+        let outdegree = if outdegree_tiebreak {
+            graph.degree(v) - ind
+        } else {
+            0
+        };
+        // Smaller key wins: higher indegree, then lower outdegree, then
+        // lower id.
+        (std::cmp::Reverse(ind), outdegree, v)
+    };
+    (0..conn.len())
+        .min_by_key(|&i| key(conn[i]))
+        .expect("conn is non-empty")
 }
 
 #[cfg(test)]
@@ -165,6 +183,62 @@ mod tests {
     use super::*;
     use crate::validate::validate_cluster_hits;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Algorithm 2 written the plain way, over a `BTreeMap` adjacency:
+    /// the reference the flat [`partition_lcc`] must match exactly.
+    fn reference_partition(
+        pairs: &[Pair],
+        k: usize,
+        outdegree_tiebreak: bool,
+    ) -> Vec<Vec<RecordId>> {
+        let mut adj: BTreeMap<RecordId, BTreeSet<RecordId>> = BTreeMap::new();
+        for p in pairs {
+            adj.entry(p.lo()).or_default().insert(p.hi());
+            adj.entry(p.hi()).or_default().insert(p.lo());
+        }
+        let mut sccs = Vec::new();
+        loop {
+            // Max degree, ties to the smallest id.
+            let Some((&rmax, _)) = adj
+                .iter()
+                .filter(|(_, n)| !n.is_empty())
+                .min_by_key(|(&v, n)| (std::cmp::Reverse(n.len()), v))
+            else {
+                return sccs;
+            };
+            let mut scc: BTreeSet<RecordId> = BTreeSet::from([rmax]);
+            let mut conn: BTreeMap<RecordId, usize> = adj[&rmax].iter().map(|&u| (u, 1)).collect();
+            while scc.len() < k && !conn.is_empty() {
+                let (&rnew, _) = conn
+                    .iter()
+                    .min_by_key(|(&r, &ind)| {
+                        let out = if outdegree_tiebreak {
+                            adj[&r].len() - ind
+                        } else {
+                            0
+                        };
+                        (std::cmp::Reverse(ind), out, r)
+                    })
+                    .unwrap();
+                conn.remove(&rnew);
+                scc.insert(rnew);
+                for &u in &adj[&rnew] {
+                    if !scc.contains(&u) {
+                        *conn.entry(u).or_insert(0) += 1;
+                    }
+                }
+            }
+            for &v in &scc {
+                let covered: Vec<RecordId> = adj[&v].intersection(&scc).copied().collect();
+                for u in covered {
+                    adj.get_mut(&v).unwrap().remove(&u);
+                    adj.get_mut(&u).unwrap().remove(&v);
+                }
+            }
+            sccs.push(scc.into_iter().collect());
+        }
+    }
 
     fn figure2a_pairs() -> Vec<Pair> {
         vec![
@@ -193,7 +267,7 @@ mod tests {
             .into_iter()
             .filter(|p| *p != Pair::of(8, 9))
             .collect();
-        let mut lcc = MutGraph::from_pairs(&lcc_pairs);
+        let mut lcc = HitGraph::from_pairs(&lcc_pairs);
         let sccs = partition_lcc(&mut lcc, 4, true);
         assert_eq!(
             sccs,
@@ -328,6 +402,35 @@ mod tests {
                 generator.generate(&shuffled, k).unwrap(),
                 generator.generate(&pairs, k).unwrap()
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The flat top tier equals the `BTreeMap` reference of
+        /// Algorithm 2 in both tie-break modes, on sparse and dense
+        /// graphs of up to 40 vertices (not necessarily connected).
+        #[test]
+        fn partition_lcc_matches_the_reference(
+            n in 2u32..=40,
+            density in 1usize..=100,
+            raw in proptest::collection::vec((0u32..40, 0u32..40, 0usize..100), 0..800),
+            k in 2usize..=12,
+            outdegree_tiebreak in proptest::bool::ANY,
+        ) {
+            // Keep about `density` percent of the drawn edges, so draws
+            // range from a few edges to near-complete graphs.
+            let pairs: Vec<Pair> = raw
+                .iter()
+                .filter(|&&(a, b, keep)| a % n != b % n && keep < density)
+                .map(|&(a, b, _)| Pair::of(a % n, b % n))
+                .collect();
+            let mut graph = HitGraph::from_pairs(&pairs);
+            prop_assert_eq!(
+                partition_lcc(&mut graph, k, outdegree_tiebreak),
+                reference_partition(&pairs, k, outdegree_tiebreak)
+            );
+            prop_assert!(graph.is_edgeless());
         }
     }
 }

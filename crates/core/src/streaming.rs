@@ -573,11 +573,7 @@ mod tests {
         let funnels_leak_free = out.rounds.iter().all(|r| {
             let s = r.join_stats;
             s.candidates
-                == s.positional_pruned
-                    + s.space_pruned
-                    + s.signature_rejected
-                    + s.suffix_pruned
-                    + s.verified
+                == s.positional_pruned + s.signature_rejected + s.suffix_pruned + s.verified
         });
         assert!(funnels_leak_free);
     }

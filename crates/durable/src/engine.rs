@@ -570,7 +570,11 @@ mod tests {
             copy.replace(name, &bytes).unwrap();
             copy
         };
-        for old in [with_version(WAL_NAME, 1), with_version(&snap, 4)] {
+        for old in [
+            with_version(WAL_NAME, 1),
+            with_version(&snap, 4),
+            with_version(&snap, 5),
+        ] {
             let before: Vec<_> = [WAL_NAME, snap.as_str()]
                 .map(|name| old.read(name).unwrap())
                 .into();

@@ -24,8 +24,9 @@ pub const SNAP_MAGIC: &[u8; 4] = b"CSNP";
 /// (cluster edges, per-cluster to-verify lists, removal count), which
 /// import now recomputes; v4 added each cluster's HIT baseline (its
 /// HIT count right after its last full HIT generation); v5 dropped the
-/// trailing worker-weight table, which nothing read.
-pub const SNAP_VERSION: u32 = 5;
+/// trailing worker-weight table, which nothing read; v6 dropped the
+/// `space_pruned` funnel bucket, which no join writes any more.
+pub const SNAP_VERSION: u32 = 6;
 
 /// Blob name for the snapshot at `seq`.
 pub fn snap_name(seq: u64) -> String {
@@ -106,7 +107,6 @@ pub fn encode_payload(state: &ResolverState) -> Vec<u8> {
     for n in [
         state.cumulative.candidates,
         state.cumulative.positional_pruned,
-        state.cumulative.space_pruned,
         state.cumulative.signature_rejected,
         state.cumulative.suffix_pruned,
         state.cumulative.verified,
@@ -197,7 +197,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<ResolverState> {
     let cumulative = JoinStats {
         candidates: d.u64()?,
         positional_pruned: d.u64()?,
-        space_pruned: d.u64()?,
         signature_rejected: d.u64()?,
         suffix_pruned: d.u64()?,
         verified: d.u64()?,
@@ -409,7 +408,7 @@ mod tests {
 
     #[test]
     fn older_format_versions_are_refused() {
-        for old in [2u32, 4] {
+        for old in [2u32, 4, 5] {
             let dir = MemDir::new();
             write_snapshot(&dir, 4, &sample_state()).unwrap();
             let mut bytes = dir.read(&snap_name(4)).unwrap().unwrap();
@@ -424,9 +423,19 @@ mod tests {
                 ),
                 other => panic!("expected the version error, got {other:?}"),
             }
-            // A directory holding only older snapshots has no intact one.
+            // A directory holding only older snapshots has no intact
+            // one, and looking leaves it byte-identical.
             dir.replace(&snap_name(4), &bytes).unwrap();
+            let contents = || {
+                let names = dir.list().unwrap();
+                names
+                    .iter()
+                    .map(|name| (name.clone(), dir.read(name).unwrap()))
+                    .collect::<Vec<_>>()
+            };
+            let before = contents();
             assert!(load_latest_snapshot(&dir).unwrap().is_none());
+            assert_eq!(contents(), before, "a refused directory is left as it was");
         }
     }
 }

@@ -60,11 +60,12 @@
 //! that survived the index-geometry kills (length skip, adaptive count
 //! filter, last-token truncation — those never surface at all); each
 //! candidate then lands in exactly one of `positional_pruned`,
-//! `space_pruned`, `signature_rejected` (the 256-bit band-signature
-//! lower bound on the symmetric difference), `suffix_pruned`, or
-//! `verified`, and `results` counts verified pairs at or above the
-//! threshold. The leak-free invariant `candidates ==
-//! positional_pruned + space_pruned + signature_rejected +
+//! `signature_rejected` (the 256-bit band-signature lower bound on the
+//! symmetric difference), `suffix_pruned`, or `verified`, and `results`
+//! counts verified pairs at or above the threshold. Both engines probe
+//! only the partner side of the pair space, so no candidate lies
+//! outside it and there is no space stage. The leak-free invariant
+//! `candidates == positional_pruned + signature_rejected +
 //! suffix_pruned + verified` is asserted by the observability example
 //! and the join funnel regression tests.
 //!

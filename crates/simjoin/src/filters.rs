@@ -328,11 +328,12 @@ impl<'d> Probe<'_, 'd> {
     /// Phase 2 for candidate `y` (token list `ydoc`, signature `ysig`):
     /// the count filter (silent — proven dead from index geometry, so
     /// the pair never counts as a candidate), then the positional
-    /// filter, the candidate-space check `space_ok`,
-    /// the band-signature check, the suffix filter, and resume-merge
-    /// verification, each rejection tallied into its `stats` bucket.
-    /// Returns the pair's Jaccard similarity iff it reaches the
-    /// threshold.
+    /// filter, the band-signature check, the suffix filter, and
+    /// resume-merge verification, each rejection tallied into its
+    /// `stats` bucket. Returns the pair's Jaccard similarity iff it
+    /// reaches the threshold. Both engines scan only the partner side
+    /// of the pair space, so every candidate is a candidate pair of the
+    /// dataset.
     ///
     /// The first hit `(i, j)` is the pair's first shared token, so the
     /// overlap up to it is exactly 1 and the merge resumes at
@@ -343,7 +344,6 @@ impl<'d> Probe<'_, 'd> {
         y: u32,
         ydoc: &[u32],
         ysig: &BandSignature,
-        space_ok: impl FnOnce() -> bool,
         stats: &mut JoinStats,
     ) -> Option<f64> {
         let s = &*self.scratch;
@@ -354,7 +354,7 @@ impl<'d> Probe<'_, 'd> {
         if (s.count[y as usize] as usize) < self.level {
             return None;
         }
-        self.filter_and_verify(s.first[y as usize], ydoc, ysig, space_ok, stats)
+        self.filter_and_verify(s.first[y as usize], ydoc, ysig, stats)
     }
 
     /// [`Probe::verify`] past the count filter, from the first hit
@@ -364,7 +364,6 @@ impl<'d> Probe<'_, 'd> {
         (i, j): (u32, u32),
         ydoc: &[u32],
         ysig: &BandSignature,
-        space_ok: impl FnOnce() -> bool,
         stats: &mut JoinStats,
     ) -> Option<f64> {
         let (i, j) = (i as usize, j as usize);
@@ -377,10 +376,6 @@ impl<'d> Probe<'_, 'd> {
         let upper = 1 + (lx - i - 1).min(ly - j - 1);
         if upper < alpha {
             stats.positional_pruned += 1;
-            return None;
-        }
-        if !space_ok() {
-            stats.space_pruned += 1;
             return None;
         }
         // Band-signature reject: popcount(sig_x ^ sig_y) lower-bounds

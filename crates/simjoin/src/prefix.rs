@@ -52,7 +52,7 @@
 //! Abt–Buy) indexes each source under its own side, so no intra-source
 //! pair is ever enumerated, and a source outside the pair space is
 //! neither indexed nor probed. Every candidate is therefore inside the
-//! pair space, and [`JoinStats::space_pruned`] reads 0 on this path.
+//! pair space, so the funnel has no space stage.
 //!
 //! This module keeps only what is batch-specific: the length-sorted
 //! probe order, the sided indexing-prefix posting lists, and phase 1 of
@@ -184,9 +184,12 @@ impl SidedIndex {
 
 /// Per-join filter-funnel counters, summed across worker threads.
 ///
-/// `candidates` splits into the five leak-free buckets
-/// `positional_pruned + space_pruned + signature_rejected +
-/// suffix_pruned + verified`; `results ≤ verified`. Pairs killed
+/// `candidates` splits into the four leak-free buckets
+/// `positional_pruned + signature_rejected + suffix_pruned + verified`;
+/// `results ≤ verified`. There is no space bucket: both engines probe
+/// only the partner side of the pair space
+/// ([`PairSpace::sides`](crowder_types::PairSpace::sides)), so no pair
+/// outside it is ever a candidate. Pairs killed
 /// *before* the candidate stage — the length skip, the count filter,
 /// and the last-token truncation — never surface in the funnel at all:
 /// they were proven dead from the index geometry alone, without
@@ -199,11 +202,6 @@ pub struct JoinStats {
     pub candidates: u64,
     /// Candidates discarded by the positional filter.
     pub positional_pruned: u64,
-    /// Candidates discarded because the pair is outside the dataset's
-    /// [`PairSpace`](crowder_types::PairSpace) (e.g. intra-source).
-    /// Always 0 for [`prefix_join_with_stats`], which probes only the
-    /// partner side; `crowder-stream`'s delta probe still counts them.
-    pub space_pruned: u64,
     /// Candidates discarded by the 256-bit band-signature lower bound
     /// on the symmetric difference (short records only: the check
     /// self-gates once `lx + ly − 2α ≥ 256`).
@@ -222,7 +220,6 @@ impl JoinStats {
     pub fn absorb(&mut self, other: &JoinStats) {
         self.candidates += other.candidates;
         self.positional_pruned += other.positional_pruned;
-        self.space_pruned += other.space_pruned;
         self.signature_rejected += other.signature_rejected;
         self.suffix_pruned += other.suffix_pruned;
         self.verified += other.verified;
@@ -241,7 +238,6 @@ pub fn publish_funnel(stats: &JoinStats) {
     }
     crowder_obs::counter!("simjoin.funnel.candidates").add(stats.candidates);
     crowder_obs::counter!("simjoin.funnel.positional_pruned").add(stats.positional_pruned);
-    crowder_obs::counter!("simjoin.funnel.space_pruned").add(stats.space_pruned);
     crowder_obs::counter!("simjoin.funnel.signature_rejected").add(stats.signature_rejected);
     crowder_obs::counter!("simjoin.funnel.suffix_pruned").add(stats.suffix_pruned);
     crowder_obs::counter!("simjoin.funnel.verified").add(stats.verified);
@@ -423,11 +419,8 @@ fn probe(
     for &y in probe.candidates() {
         // Only the partner side was scanned, so every candidate lies in
         // the pair space.
-        let space_ok = || {
-            debug_assert!(dataset.is_candidate(&pair_of(y)));
-            true
-        };
-        if let Some(sim) = probe.verify(y, docs[y as usize], &sigs[y as usize], space_ok, stats) {
+        debug_assert!(dataset.is_candidate(&pair_of(y)));
+        if let Some(sim) = probe.verify(y, docs[y as usize], &sigs[y as usize], stats) {
             out.push(ScoredPair::new(pair_of(y), sim));
         }
     }
@@ -524,11 +517,7 @@ mod tests {
             let (out, s) = prefix_join_with_stats(&d, &t, thr, 2);
             assert_eq!(
                 s.candidates,
-                s.positional_pruned
-                    + s.space_pruned
-                    + s.signature_rejected
-                    + s.suffix_pruned
-                    + s.verified,
+                s.positional_pruned + s.signature_rejected + s.suffix_pruned + s.verified,
                 "threshold {thr}: {s:?}"
             );
             assert_eq!(s.results as usize, out.len(), "threshold {thr}");
@@ -537,18 +526,17 @@ mod tests {
     }
 
     #[test]
-    fn cross_source_stats_count_space_pruning() {
+    fn cross_source_stats_count_only_cross_pairs() {
         // Each source probes only the other's postings, so no
-        // intra-source pair becomes a candidate and the space filter
-        // never fires; a third source's record is never indexed and
-        // never probes, so adding one leaves the funnel unchanged.
+        // intra-source pair becomes a candidate; a third source's record
+        // is never indexed and never probes, so adding one leaves the
+        // funnel unchanged.
         let names: Vec<String> = (0..20)
             .map(|i| format!("alpha beta gamma d{}", i % 4))
             .collect();
         let mut d = dataset_from_names(&names, true);
         let t = TokenTable::build_with_sets(&d);
         let (out, s) = prefix_join_with_stats(&d, &t, 0.5, 1);
-        assert_eq!(s.space_pruned, 0, "{s:?}");
         assert!(s.candidates <= 10 * 10, "only cross pairs: {s:?}");
         assert_eq!(s.results as usize, out.len());
         // Every cross pair shares alpha, beta and gamma: Jaccard 3/5.
@@ -775,7 +763,13 @@ mod tests {
                 let t = TokenTable::build(&d);
                 let (fast, stats) = prefix_join_with_stats(&d, &t, thr, threads);
                 prop_assert_eq!(&fast, &all_pairs_scored(&d, &t, thr, 1));
-                prop_assert_eq!(stats.space_pruned, 0);
+                prop_assert_eq!(
+                    stats.candidates,
+                    stats.positional_pruned
+                        + stats.signature_rejected
+                        + stats.suffix_pruned
+                        + stats.verified
+                );
             }
         }
 

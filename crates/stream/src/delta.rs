@@ -11,13 +11,25 @@
 //! Jaccard ≥ t shares a token between its two probe prefixes, whichever
 //! side is longer.
 //!
-//! ## The probe: one index, the shared kernel
+//! ## The probe: one index per join side, the shared kernel
+//!
+//! The index is split by join side
+//! ([`PairSpace::sides`](crowder_types::PairSpace::sides)), as the batch
+//! join's is: each record slot keeps its `(indexed, probed)` sides, is
+//! indexed under its own side and probes only its partner side's
+//! postings. A self-join has one side; a cross-source join (Product's
+//! Abt–Buy) indexes each source under its own side, so no intra-source
+//! pair is ever enumerated, and a record whose source lies outside the
+//! pair space is neither indexed nor probed. Every candidate is
+//! therefore inside the pair space. Sides are a function of the
+//! dataset's sources, so they are derived again on import, never
+//! stored in a snapshot.
 //!
 //! A probe runs the two-phase kernel of `crowder_simjoin::filters`
 //! (`ProbeScratch` / `Probe`) — the same code the batch join runs, so a
 //! filter change lands once for both engines. This module keeps only
-//! what is stream-specific: the length-bucketed, counted postings of
-//! the live records, and phase 1, which walks them.
+//! what is stream-specific: the length-sorted, sided postings of the
+//! live records, and phase 1, which walks them.
 //!
 //! 1. **Hit collection.** One loop over the probe window, in ascending
 //!    probe position, feeds every tier-admissible posting inside
@@ -28,26 +40,26 @@
 //!    `i` and `j` in both — and its hit count.
 //! 2. **Filter + verify.** Candidates, sorted by record id, go through
 //!    `Probe::verify`: the count filter, then the positional filter,
-//!    candidate-space filter, band-signature check, suffix filter, and
-//!    resume-merge verification at `(i+1, j+1)` with overlap exactly 1
-//!    at `(i, j)`.
+//!    band-signature check, suffix filter, and resume-merge
+//!    verification at `(i+1, j+1)` with overlap exactly 1 at `(i, j)`.
 //!
-//! ## Length-bucketed postings — the binary-searched length skip
+//! ## Length-sorted postings — the binary-searched length skip
 //!
-//! Each rank's postings are **bucketed by record length**: bucket
-//! headers ascend in `len`, and postings within a bucket append in
-//! arrival order, so indexing one prefix token is an O(1) push (no
-//! memmove through the list body). Phase 1 binary-searches the bucket
-//! headers down to the window `⌈t·|x|⌉ ≤ |y| ≤ ⌊|x|/t⌋`, so records
-//! outside it are *never enumerated* — the batch engine's
-//! binary-searched length skip. Length-skipped records never count as
-//! `candidates`, matching the batch funnel's accounting.
+//! Each (side, rank) list is **one vector of postings ordered by record
+//! length**, each posting carrying its record's length. An insert goes
+//! after the last posting of its length (`partition_point(len ≤ l)`),
+//! so postings of one length sit in arrival order; a removal searches
+//! only its own length run. Phase 1 binary-searches the list down to
+//! the window `⌈t·|x|⌉ ≤ |y| ≤ ⌊|x|/t⌋` and scans that one contiguous
+//! slice, so records outside it are *never enumerated* — the batch
+//! engine's binary-searched length skip. Length-skipped records never
+//! count as `candidates`, matching the batch funnel's accounting.
 //!
-//! Within-bucket order is deliberately *immaterial*: phase 1 visits
-//! probe positions in ascending order, so a candidate's first hit is
-//! its minimal-`i` hit whatever the bucket order, and phase 2 sorts the
+//! Order within a length run is deliberately *immaterial*: phase 1
+//! visits probe positions in ascending order, so a candidate's first hit
+//! is its minimal-`i` hit whatever the run order, and phase 2 sorts the
 //! candidate ids, so probe output is a pure function of the corpus no
-//! matter what mutation history (or rebuild) populated the buckets.
+//! matter what mutation history (or rebuild) populated the lists.
 //! Candidate enumeration — and therefore every downstream
 //! order-sensitive structure, e.g. cluster merge sequences — is
 //! reproducible across restarts; crash recovery depends on this.
@@ -55,15 +67,17 @@
 //! ## The adaptive count-filter tier, truncation, and band signatures
 //!
 //! The index stores each record's **extended** probe window
-//! (`extended_prefix_len`), every posting carrying its `tier` — how far
-//! past the base prefix its position sits. A probe picks a per-record
-//! count-filter `level` (`adaptive_level`) from the posting mass under
-//! its base prefix (the `PostingList::count` counters — exact, so the
-//! estimate is invariant under mutation history and rebuilds): on hot
-//! prefixes it extends the window and demands `level`
-//! shared window tokens per the generalized prefix lemma (see
-//! `crowder_simjoin::filters`). Hits at `tier ≥ level` are skipped, so
-//! a level-1 probe sees exactly the classic prefix index.
+//! (`extended_prefix_len`). A probe picks a per-record count-filter
+//! `level` (`adaptive_level`) from the posting mass of its partner side
+//! under its base prefix (the list lengths — exact, so the estimate is
+//! invariant under mutation history and rebuilds): on hot prefixes it
+//! extends the window and demands `level` shared window tokens per the
+//! generalized prefix lemma (see `crowder_simjoin::filters`). Hits at
+//! `tier ≥ level` are skipped, so a level-1 probe sees exactly the
+//! classic prefix index. A posting's tier — how far past its record's
+//! base prefix its position sits (`posting_tier`) — is not stored: it
+//! follows from the posting's position and length, so phase 1 works
+//! out one position limit per length run.
 //!
 //! Two more pre-candidate kills ride the same scan, both order
 //! insensitive:
@@ -71,7 +85,7 @@
 //! - **Last-token truncation**: from probe position `i`, a first hit on
 //!   a record longer than `positional_len_cutoff(lx, i, t)` can never
 //!   pass the positional filter, and the cutoff only tightens with `i`.
-//!   At level 1 the cutoff clamps the bucket length window per position
+//!   At level 1 the cutoff clamps the length window per position
 //!   (those postings are never enumerated); at higher levels each hit
 //!   on a reached candidate must be counted, so `Hits::hit` drops only
 //!   over-cutoff *first* contacts — the same pairs.
@@ -82,17 +96,17 @@
 //! `candidates` — they are proven dead from index geometry alone.
 //! Survivors then face a 256-bit **band-signature** check
 //! (`BandSignature`, XOR + popcount lower bound on the symmetric
-//! difference) between positional/space filtering and the suffix
-//! filter, tallied as `signature_rejected`.
+//! difference) between the positional and suffix filters, tallied as
+//! `signature_rejected`.
 //!
 //! Degenerate thresholds mirror the batch engine so the cumulative
 //! output stays bit-identical: `threshold ≤ 0` compares the arrival
-//! against every indexed candidate exhaustively (no filter can help at
-//! a zero threshold), and `threshold > 1` yields nothing.
+//! against every indexed record of its partner side exhaustively (no
+//! filter can help at a zero threshold), and `threshold > 1` yields
+//! nothing.
 
 use crowder_simjoin::filters::{
-    extended_prefix_len, max_match_len, min_match_len, posting_tier, prefix_len, BandSignature,
-    ProbeScratch,
+    extended_prefix_len, max_match_len, min_match_len, prefix_len, BandSignature, ProbeScratch,
 };
 use crowder_simjoin::JoinStats;
 use crowder_text::jaccard_ids;
@@ -108,7 +122,6 @@ fn publish_probe_delta(before: &JoinStats, after: &JoinStats) {
     crowder_simjoin::publish_funnel(&JoinStats {
         candidates: after.candidates - before.candidates,
         positional_pruned: after.positional_pruned - before.positional_pruned,
-        space_pruned: after.space_pruned - before.space_pruned,
         signature_rejected: after.signature_rejected - before.signature_rejected,
         suffix_pruned: after.suffix_pruned - before.suffix_pruned,
         verified: after.verified - before.verified,
@@ -116,69 +129,68 @@ fn publish_probe_delta(before: &JoinStats, after: &JoinStats) {
     });
 }
 
-/// One index entry: the record holding the token and the token's
-/// position in that record's rank-sorted list. The record's length —
-/// the binary-search key of the length skip — lives one level up, in
-/// the bucket header.
+/// One index entry: the record holding the token, the record's length
+/// (the sort key of the list), and the token's position in that
+/// record's rank-sorted list. A probe at count-filter level `l` admits
+/// only positions below `prefix_len(len) + l − 1` (extension tier
+/// below `l`), so a level-1 probe sees exactly the classic index.
 #[derive(Debug, Clone, Copy)]
 struct Posting {
     record: u32,
+    len: u32,
     pos: u32,
-    /// Extension tier of `pos` past the record's base probe prefix
-    /// (`posting_tier`): 0 for base-prefix postings, `k` for the k-th
-    /// extension token. A probe at count-filter level `l` only admits
-    /// `tier < l`, so a level-1 probe sees exactly the classic index.
-    tier: u8,
 }
 
-/// One rank's postings, bucketed by record length: buckets ascend in
-/// `len`, postings within a bucket are appended in arrival order (O(1)
-/// per insert — no memmove through the list body, which is what keeps
-/// the per-arrival indexing cost flat). The length window of a probe
-/// binary-searches the bucket headers, never the postings.
+/// One (side, rank) list: a single posting vector ascending in record
+/// length, postings of one length in the order they were indexed. The
+/// length window of a probe is one contiguous slice, found by two
+/// binary searches.
 ///
-/// Within-bucket order is **immaterial** to every observable (see the
-/// module docs), so a rebuilt index (buckets repopulated in record
-/// order) enumerates differently but resolves identically.
+/// Order within a length run is **immaterial** to every observable (see
+/// the module docs), so a rebuilt index (runs refilled in record order)
+/// enumerates differently but resolves identically. Every posting is a
+/// live record's, so the list length — the adaptive level's posting
+/// mass — is a pure function of the corpus.
 #[derive(Debug, Clone, Default)]
-struct PostingList {
-    buckets: Vec<(u32, Vec<Posting>)>,
-    /// Number of postings in the list — the adaptive-prefix selectivity
-    /// estimate. Every posting is a live record's, so probes pick the
-    /// same count-filter level no matter what mutation history
-    /// populated the index, which is what keeps probe output a pure
-    /// function of the corpus.
-    count: u32,
-}
+struct PostingList(Vec<Posting>);
 
 impl PostingList {
-    /// Append a posting to the `len` bucket, creating it at its sorted
-    /// position if absent. The bucket-header vec is short (distinct
-    /// record lengths under one rank), so the occasional header insert
-    /// is cheap.
-    fn push(&mut self, len: u32, posting: Posting) {
-        self.count += 1;
-        match self.buckets.binary_search_by_key(&len, |b| b.0) {
-            Ok(at) => self.buckets[at].1.push(posting),
-            Err(at) => self.buckets.insert(at, (len, vec![posting])),
-        }
+    /// Insert `posting` after every posting of length `≤ posting.len`.
+    fn insert(&mut self, posting: Posting) {
+        let at = self.0.partition_point(|p| p.len <= posting.len);
+        self.0.insert(at, posting);
     }
 
-    /// Drop `record`'s posting from the `len` bucket.
+    /// Drop `record`'s posting, searching only the `len` run.
     fn remove(&mut self, len: u32, record: u32) {
-        if let Ok(at) = self.buckets.binary_search_by_key(&len, |b| b.0) {
-            let before = self.buckets[at].1.len();
-            self.buckets[at].1.retain(|p| p.record != record);
-            self.count -= (before - self.buckets[at].1.len()) as u32;
-            if self.buckets[at].1.is_empty() {
-                self.buckets.remove(at);
-            }
+        let lo = self.0.partition_point(|p| p.len < len);
+        let hi = lo + self.0[lo..].partition_point(|p| p.len == len);
+        if let Some(k) = self.0[lo..hi].iter().position(|p| p.record == record) {
+            self.0.remove(lo + k);
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+    /// The postings of records with `min_len ≤ len ≤ max_len`.
+    fn within(&self, min_len: usize, max_len: usize) -> &[Posting] {
+        let lo = self.0.partition_point(|p| (p.len as usize) < min_len);
+        let hi = self.0.partition_point(|p| (p.len as usize) <= max_len);
+        &self.0[lo..hi.max(lo)]
     }
+}
+
+/// `rank → postings` of one join side. Keyed by *rank* (the join's sort
+/// key), which is stable between dictionary epochs; `rebuild` re-keys
+/// everything.
+type SidePostings = HashMap<u32, PostingList>;
+
+/// A record's join sides `(indexed, probed)` (see
+/// [`PairSpace::sides`](crowder_types::PairSpace::sides)), or `None`
+/// if no candidate pair involves its source.
+type Sides = Option<(u8, u8)>;
+
+fn sides_of(dataset: &Dataset, record: usize) -> Sides {
+    let (indexed, probed) = dataset.pair_space.sides(dataset.records()[record].source)?;
+    Some((indexed as u8, probed as u8))
 }
 
 /// The tokens of `doc` the index holds: its **extended** probe window,
@@ -190,25 +202,13 @@ fn indexed_window(doc: &[u32], threshold: f64) -> &[u32] {
     &doc[..extended_prefix_len(prefix_len(doc.len(), threshold), doc.len())]
 }
 
-/// Index `record`'s [`indexed_window`] into the length buckets — an
-/// O(1) append per token (plus a binary search over the short
-/// bucket-header vec). Postings past the base prefix carry their
-/// extension tier so level-1 probes skip them.
-fn index_doc(postings: &mut HashMap<u32, PostingList>, threshold: f64, record: u32, doc: &[u32]) {
-    let window = indexed_window(doc, threshold);
-    if window.is_empty() {
-        return;
-    }
-    let (len, base) = (doc.len() as u32, prefix_len(doc.len(), threshold));
-    for (pos, &rank) in window.iter().enumerate() {
-        postings.entry(rank).or_default().push(
-            len,
-            Posting {
-                record,
-                pos: pos as u32,
-                tier: posting_tier(pos, base),
-            },
-        );
+/// The postings of `record`'s [`indexed_window`], each handed to
+/// `add` with its rank.
+fn doc_postings(threshold: f64, record: u32, doc: &[u32], mut add: impl FnMut(u32, Posting)) {
+    let len = doc.len() as u32;
+    for (pos, &rank) in indexed_window(doc, threshold).iter().enumerate() {
+        let pos = pos as u32;
+        add(rank, Posting { record, len, pos });
     }
 }
 
@@ -219,10 +219,11 @@ fn index_doc(postings: &mut HashMap<u32, PostingList>, threshold: f64, record: u
 #[derive(Debug, Clone)]
 pub struct DeltaIndex {
     threshold: f64,
-    /// `rank → length-bucketed postings`. Keyed by *rank* (the join's
-    /// sort key), which is stable between dictionary epochs; `rebuild`
-    /// re-keys everything.
-    postings: HashMap<u32, PostingList>,
+    /// One posting map per join side (side 1 stays empty in a
+    /// self-join).
+    postings: [SidePostings; 2],
+    /// Per-record join sides, derived from the record's source.
+    sides: Vec<Sides>,
     /// Per-record token lists, as ranks sorted ascending.
     docs: Vec<Vec<u32>>,
     /// Per-record 256-bit band signatures over the rank lists —
@@ -243,7 +244,8 @@ impl DeltaIndex {
     pub fn new(threshold: f64) -> Self {
         DeltaIndex {
             threshold,
-            postings: HashMap::new(),
+            postings: Default::default(),
+            sides: Vec::new(),
             docs: Vec::new(),
             sigs: Vec::new(),
             scratch: ProbeScratch::new(),
@@ -252,22 +254,26 @@ impl DeltaIndex {
         }
     }
 
-    /// Rebuild an index from exported per-record rank lists (empty for
-    /// deleted records) plus liveness flags — the snapshot-import
-    /// constructor. Buckets fill in record order; probe output does not
-    /// depend on within-bucket order (see the module docs), so a
-    /// recovered index resolves exactly like the index it was exported
-    /// from. A deleted record with a non-empty list is rejected.
+    /// Rebuild an index over `dataset`'s records from exported
+    /// per-record rank lists (empty for deleted records) plus liveness
+    /// flags — the snapshot-import constructor. Each record's sides are
+    /// derived from its source; lists fill in record order, and probe
+    /// output does not depend on the order within a length run (see the
+    /// module docs), so a recovered index resolves exactly like the
+    /// index it was exported from. A deleted record with a non-empty
+    /// list is rejected.
     pub fn from_docs(
+        dataset: &Dataset,
         threshold: f64,
         docs: Vec<Vec<u32>>,
         alive: Vec<bool>,
     ) -> crowder_types::Result<Self> {
-        if docs.len() != alive.len() {
+        if docs.len() != alive.len() || docs.len() != dataset.len() {
             return Err(Error::InvalidData(format!(
-                "index import: {} docs but {} liveness flags",
+                "index import: {} docs and {} liveness flags for {} records",
                 docs.len(),
-                alive.len()
+                alive.len(),
+                dataset.len()
             )));
         }
         if let Some(r) = (0..docs.len()).find(|&r| !alive[r] && !docs[r].is_empty()) {
@@ -277,14 +283,13 @@ impl DeltaIndex {
         }
         let mut index = DeltaIndex {
             live: alive.iter().filter(|&&a| a).count(),
+            sides: (0..docs.len()).map(|r| sides_of(dataset, r)).collect(),
             sigs: docs.iter().map(|d| BandSignature::build(d)).collect(),
             docs,
             alive,
             ..Self::new(threshold)
         };
-        for (r, doc) in index.docs.iter().enumerate() {
-            index_doc(&mut index.postings, threshold, r as u32, doc);
-        }
+        index.index_all();
         Ok(index)
     }
 
@@ -326,15 +331,51 @@ impl DeltaIndex {
         }
     }
 
+    /// Index `slot`'s doc under its own side (nothing for a record
+    /// outside the pair space).
+    fn index(&mut self, slot: usize) {
+        if let Some((side, _)) = self.sides[slot] {
+            let postings = &mut self.postings[side as usize];
+            doc_postings(self.threshold, slot as u32, &self.docs[slot], |rank, p| {
+                postings.entry(rank).or_default().insert(p)
+            });
+        }
+    }
+
+    /// Index every live record from scratch, in record order: each list
+    /// is filled by appends, then stably sorted by length, which leaves
+    /// each length run in record order — what inserting one record
+    /// after another would give, without the memmoves.
+    fn index_all(&mut self) {
+        for side in &mut self.postings {
+            side.clear();
+        }
+        for (slot, doc) in self.docs.iter().enumerate() {
+            if let Some((side, _)) = self.sides[slot] {
+                let postings = &mut self.postings[side as usize];
+                doc_postings(self.threshold, slot as u32, doc, |rank, p| {
+                    postings.entry(rank).or_default().0.push(p)
+                });
+            }
+        }
+        for list in self.postings.iter_mut().flat_map(|side| side.values_mut()) {
+            list.0.sort_by_key(|p| p.len);
+        }
+    }
+
     /// Strip the postings of `slot`'s current doc, dropping lists that
     /// empty.
     fn unindex(&mut self, slot: usize) {
+        let Some((side, _)) = self.sides[slot] else {
+            return;
+        };
+        let postings = &mut self.postings[side as usize];
         let len = self.docs[slot].len() as u32;
         for rank in indexed_window(&self.docs[slot], self.threshold) {
-            if let Some(list) = self.postings.get_mut(rank) {
+            if let Some(list) = postings.get_mut(rank) {
                 list.remove(len, slot as u32);
-                if list.is_empty() {
-                    self.postings.remove(rank);
+                if list.0.is_empty() {
+                    postings.remove(rank);
                 }
             }
         }
@@ -353,12 +394,12 @@ impl DeltaIndex {
     }
 
     /// Delta-join the next record (rank-sorted token list `doc`) against
-    /// everything indexed, then index it. The record's id must be
-    /// `self.len()` — records arrive densely — and must already be
-    /// pushed into `dataset` (the candidate-space filter reads its
-    /// source). New pairs are appended to `out` in ascending candidate
-    /// order; filter decisions are tallied into `stats` with the same
-    /// bucket semantics as the batch funnel.
+    /// everything indexed on its partner side, then index it under its
+    /// own side. The record's id must be `self.len()` — records arrive
+    /// densely — and must already be pushed into `dataset` (its source
+    /// picks its sides). New pairs are appended to `out` in ascending
+    /// candidate order; filter decisions are tallied into `stats` with
+    /// the same bucket semantics as the batch funnel.
     pub fn join_and_insert(
         &mut self,
         dataset: &Dataset,
@@ -370,48 +411,53 @@ impl DeltaIndex {
         let before = *stats;
         let x = RecordId(self.docs.len() as u32);
         debug_assert_eq!(dataset.len(), self.docs.len() + 1, "push record first");
-        self.probe(
-            Some(x.0),
-            &doc,
-            |y| dataset.is_candidate(&Pair::new(x, RecordId(y)).expect("y != x")),
-            |y, sim| {
-                let pair = Pair::new(x, RecordId(y)).expect("probe never yields x");
-                out.push(ScoredPair::new(pair, sim));
-            },
-            stats,
-        );
-        index_doc(&mut self.postings, self.threshold, x.0, &doc);
+        let sides = sides_of(dataset, x.index());
+        if let Some((_, probed)) = sides {
+            self.probe(
+                Some(x.0),
+                probed,
+                &doc,
+                |y, sim| {
+                    let pair = Pair::new(x, RecordId(y)).expect("probe never yields x");
+                    debug_assert!(dataset.is_candidate(&pair), "{pair:?} outside the space");
+                    out.push(ScoredPair::new(pair, sim));
+                },
+                stats,
+            );
+        }
+        self.sides.push(sides);
         self.sigs.push(BandSignature::build(&doc));
         self.docs.push(doc);
         self.alive.push(true);
         self.live += 1;
+        self.index(x.index());
         publish_probe_delta(&before, stats);
     }
 
     /// Probe a record that is **not** part of the corpus — the
-    /// read-only query half of a `resolve()` call. `doc` must be the
+    /// read-only query half of a `query()` call. `doc` must be the
     /// rank-sorted encoding of the query's token set (see
-    /// `StreamingDict::encode_query`), `space_ok` the candidate-space
-    /// filter for the query's source. Matches are appended to `out` in
-    /// ascending record order with their exact Jaccard similarity —
-    /// bit-for-bit what [`DeltaIndex::join_and_insert`] would have
-    /// surfaced had the record arrived — and nothing is indexed or
-    /// mutated besides probe scratch. The funnel of the probe is
-    /// tallied into `stats` but *not* published to the shared
-    /// `simjoin.funnel.*` counters: queries are not part of the machine
-    /// pass.
-    pub fn probe_query<F: Fn(u32) -> bool>(
+    /// `StreamingDict::encode_query`), `probed` the side the query's
+    /// source probes ([`PairSpace::sides`](crowder_types::PairSpace::sides)).
+    /// Matches are appended to `out` in ascending record order with
+    /// their exact Jaccard similarity — bit-for-bit what
+    /// [`DeltaIndex::join_and_insert`] would have surfaced had the
+    /// record arrived — and nothing is indexed or mutated besides probe
+    /// scratch. The funnel of the probe is tallied into `stats` but
+    /// *not* published to the shared `simjoin.funnel.*` counters:
+    /// queries are not part of the machine pass.
+    pub fn probe_query(
         &mut self,
+        probed: usize,
         doc: &[u32],
-        space_ok: F,
         out: &mut Vec<(RecordId, f64)>,
         stats: &mut JoinStats,
     ) {
         let _timer = crowder_obs::span_light!("stream.delta.query_probe_ns");
         self.probe(
             None,
+            probed as u8,
             doc,
-            space_ok,
             |y, sim| out.push((RecordId(y), sim)),
             stats,
         );
@@ -421,8 +467,8 @@ impl DeltaIndex {
     /// the index half of an atomic correction. The record's stale
     /// prefix postings are stripped first (it must not match its own
     /// old tokens), the new doc is probed against every other live
-    /// record exactly like an arrival (same funnel buckets, appended to
-    /// `out`), and its new prefix is re-indexed.
+    /// record of its partner side exactly like an arrival (same funnel
+    /// buckets, appended to `out`), and its new prefix is re-indexed.
     pub fn update_doc(
         &mut self,
         dataset: &Dataset,
@@ -436,56 +482,63 @@ impl DeltaIndex {
         let slot = record.index();
         debug_assert!(self.alive[slot], "update of a deleted record");
         self.unindex(slot);
-        self.probe(
-            Some(record.0),
-            &doc,
-            |y| dataset.is_candidate(&Pair::new(record, RecordId(y)).expect("y != record")),
-            |y, sim| {
-                let pair = Pair::new(record, RecordId(y)).expect("probe never yields the record");
-                out.push(ScoredPair::new(pair, sim));
-            },
-            stats,
-        );
-        index_doc(&mut self.postings, self.threshold, record.0, &doc);
+        if let Some((_, probed)) = self.sides[slot] {
+            self.probe(
+                Some(record.0),
+                probed,
+                &doc,
+                |y, sim| {
+                    let pair =
+                        Pair::new(record, RecordId(y)).expect("probe never yields the record");
+                    debug_assert!(dataset.is_candidate(&pair), "{pair:?} outside the space");
+                    out.push(ScoredPair::new(pair, sim));
+                },
+                stats,
+            );
+        }
         self.sigs[slot] = BandSignature::build(&doc);
         self.docs[slot] = doc;
+        self.index(slot);
         publish_probe_delta(&before, stats);
     }
 
-    /// Probe `doc` against every live indexed record, handing each match
-    /// `(y, sim)` to `emit` in ascending record order. `skip` is the
-    /// probing record's own slot, if it has one (only the exhaustive
-    /// path can reach it: the filtered path probes before indexing).
+    /// Probe `doc` against every live record indexed under side
+    /// `probed`, handing each match `(y, sim)` to `emit` in ascending
+    /// record order. `skip` is the probing record's own slot, if it has
+    /// one (only the exhaustive path can reach it: the filtered path
+    /// probes before indexing).
     fn probe(
         &mut self,
         skip: Option<u32>,
+        probed: u8,
         doc: &[u32],
-        space_ok: impl Fn(u32) -> bool,
         emit: impl FnMut(u32, f64),
         stats: &mut JoinStats,
     ) {
         if self.threshold > 1.0 {
             // Jaccard never exceeds 1: nothing can match.
         } else if self.threshold <= 0.0 {
-            self.exhaustive_probe(skip, doc, space_ok, emit, stats);
+            self.exhaustive_probe(skip, probed, doc, emit, stats);
         } else {
-            self.filtered_probe(doc, space_ok, emit, stats);
+            self.filtered_probe(probed, doc, emit, stats);
         }
     }
 
     /// The `threshold ≤ 0` degradation: every candidate pair is scored
     /// (mirrors the batch fallback to `all_pairs_scored` — a zero
-    /// threshold keeps everything, so no filter can help).
+    /// threshold keeps everything, so no filter can help). A record `y`
+    /// is a candidate iff it is live and indexed under side `probed`.
     fn exhaustive_probe(
         &self,
         skip: Option<u32>,
+        probed: u8,
         doc: &[u32],
-        space_ok: impl Fn(u32) -> bool,
         mut emit: impl FnMut(u32, f64),
         stats: &mut JoinStats,
     ) {
         for y in 0..self.docs.len() as u32 {
-            if Some(y) == skip || !self.alive[y as usize] || !space_ok(y) {
+            let on_side = self.sides[y as usize].is_some_and(|(side, _)| side == probed);
+            if Some(y) == skip || !self.alive[y as usize] || !on_side {
                 continue;
             }
             stats.candidates += 1;
@@ -498,12 +551,12 @@ impl DeltaIndex {
         }
     }
 
-    /// The two-phase kernel for `0 < threshold ≤ 1` (see the module
-    /// docs).
+    /// The two-phase kernel for `0 < threshold ≤ 1` over side `probed`
+    /// (see the module docs).
     fn filtered_probe(
         &mut self,
+        probed: u8,
         doc: &[u32],
-        space_ok: impl Fn(u32) -> bool,
         mut emit: impl FnMut(u32, f64),
         stats: &mut JoinStats,
     ) {
@@ -512,16 +565,16 @@ impl DeltaIndex {
         }
         let t = self.threshold;
         let (min_ly, max_ly) = (min_match_len(doc.len(), t), max_match_len(doc.len(), t));
-        let (postings, docs, sigs) = (&self.postings, &self.docs, &self.sigs);
+        let (postings, docs, sigs) = (&self.postings[probed as usize], &self.docs, &self.sigs);
         let sig = BandSignature::build(doc);
         let mut probe = self.scratch.start(doc, sig, t, docs.len(), |rank| {
-            postings.get(&rank).map_or(0, |l| l.count as u64)
+            postings.get(&rank).map_or(0, |l| l.0.len() as u64)
         });
         let level = probe.level();
 
-        // Phase 1: bucket headers ascend in `len`, so the admissible
-        // lengths form one contiguous window of buckets (clamped by the
-        // position's truncation cutoff at level 1).
+        // Phase 1: each list ascends in `len`, so the admissible
+        // lengths form one contiguous slice (clamped by the position's
+        // truncation cutoff at level 1).
         for (i, rank) in probe.window().iter().enumerate() {
             let Some(list) = postings.get(rank) else {
                 continue;
@@ -531,24 +584,28 @@ impl DeltaIndex {
             } else {
                 max_ly
             };
-            let lo = list.buckets.partition_point(|b| (b.0 as usize) < min_ly);
-            let hi = list.buckets.partition_point(|b| (b.0 as usize) <= max_len);
             let mut hits = probe.at(i);
-            for (len, bucket) in &list.buckets[lo..hi.max(lo)] {
-                for p in bucket {
-                    if (p.tier as usize) < level {
-                        hits.hit(p.record, *len as usize, p.pos);
-                    }
+            // A posting's tier is below `level` iff its position is
+            // below `prefix_len(len) + level − 1`; one limit per length
+            // run.
+            let (mut run_len, mut pos_limit) = (0, 0);
+            for p in list.within(min_ly, max_len) {
+                if p.len != run_len {
+                    run_len = p.len;
+                    pos_limit = (prefix_len(run_len as usize, t) + level - 1) as u32;
+                }
+                if p.pos < pos_limit {
+                    hits.hit(p.record, p.len as usize, p.pos);
                 }
             }
         }
 
         // Phase 2, in ascending record order: the canonical enumeration,
-        // independent of bucket order.
+        // independent of the order within length runs.
         probe.sort_candidates();
         for &y in probe.candidates() {
             let yi = y as usize;
-            if let Some(sim) = probe.verify(y, &docs[yi], &sigs[yi], || space_ok(y), stats) {
+            if let Some(sim) = probe.verify(y, &docs[yi], &sigs[yi], stats) {
                 emit(y, sim);
             }
         }
@@ -560,7 +617,6 @@ impl DeltaIndex {
     /// token ids.
     pub fn rebuild(&mut self, dict: &StreamingDict, token_ids: &[Vec<u32>]) {
         debug_assert_eq!(token_ids.len(), self.docs.len());
-        self.postings.clear();
         for (r, ids) in token_ids.iter().enumerate() {
             if !self.alive[r] {
                 continue; // a deleted record holds no doc
@@ -572,8 +628,8 @@ impl DeltaIndex {
             // Ranks shifted with the epoch, so the signature is rebuilt
             // from the fresh rank list.
             self.sigs[r] = BandSignature::build(doc);
-            index_doc(&mut self.postings, self.threshold, r as u32, doc);
         }
+        self.index_all();
     }
 }
 
@@ -610,7 +666,6 @@ mod tests {
         assert_eq!(
             stats.candidates,
             stats.positional_pruned
-                + stats.space_pruned
                 + stats.signature_rejected
                 + stats.suffix_pruned
                 + stats.verified
@@ -693,7 +748,7 @@ mod tests {
         // the *current* corpus.
         let qdoc = dict.encode_query(&tokenize("a b c d"));
         let (mut matches, mut stats) = (Vec::new(), JoinStats::default());
-        index.probe_query(&qdoc, |_| true, &mut matches, &mut stats);
+        index.probe_query(0, &qdoc, &mut matches, &mut stats);
         assert_eq!(
             matches,
             vec![
@@ -706,14 +761,14 @@ mod tests {
         // arrival's fresh tokens would.
         let diluted = dict.encode_query(&tokenize("a b c d zz1 zz2 zz3 zz4 zz5"));
         let (mut none, mut stats) = (Vec::new(), JoinStats::default());
-        index.probe_query(&diluted, |_| true, &mut none, &mut stats);
+        index.probe_query(0, &diluted, &mut none, &mut stats);
         assert!(
             none.is_empty(),
             "diluted to 4/9 < t against every record: {none:?}"
         );
         // The index is untouched: same query, same answer.
         let (mut again, mut stats) = (Vec::new(), JoinStats::default());
-        index.probe_query(&qdoc, |_| true, &mut again, &mut stats);
+        index.probe_query(0, &qdoc, &mut again, &mut stats);
         assert_eq!(again, matches);
     }
 
@@ -798,7 +853,7 @@ mod tests {
         let alive: Vec<bool> = (0..index.len())
             .map(|r| index.is_alive(RecordId(r as u32)))
             .collect();
-        let mut imported = DeltaIndex::from_docs(0.4, docs, alive).unwrap();
+        let mut imported = DeltaIndex::from_docs(&dataset, 0.4, docs, alive).unwrap();
         assert_eq!(imported.live(), index.live());
         // Identical probes on both sides: bit-identical output.
         dataset
@@ -812,7 +867,7 @@ mod tests {
         assert_eq!(out_a, out_b);
         assert_eq!(stats_a, stats_b);
         // Mismatched import lengths are rejected.
-        assert!(DeltaIndex::from_docs(0.4, vec![vec![1]], vec![true, false]).is_err());
+        assert!(DeltaIndex::from_docs(&dataset, 0.4, vec![vec![1]], vec![true, false]).is_err());
     }
 
     #[test]
@@ -909,25 +964,35 @@ mod tests {
         assert_live_only(&index);
     }
 
-    /// The index holds only live records: no posting names a dead
-    /// record, no dead record keeps a doc, and each list's count equals
-    /// its number of postings (no list or bucket is left empty).
+    /// The index holds only live records, each on its own side: every
+    /// posting names a live record indexed under the posting's side,
+    /// with that record's length and the rank at its position; every
+    /// list is non-empty and ascends in length; each side holds exactly
+    /// the indexed windows of its live records (so a record outside the
+    /// pair space holds no postings); and no dead record keeps a doc.
     fn assert_live_only(index: &DeltaIndex) {
-        for (rank, list) in &index.postings {
-            let mut postings = 0;
-            for (len, bucket) in &list.buckets {
-                assert!(!bucket.is_empty(), "rank {rank}: empty bucket {len}");
-                for p in bucket {
-                    assert!(
-                        index.alive[p.record as usize],
-                        "rank {rank}: dead {}",
-                        p.record
-                    );
+        for (side, postings) in index.postings.iter().enumerate() {
+            let mut held = 0;
+            for (rank, list) in postings {
+                assert!(!list.0.is_empty(), "side {side} rank {rank}: empty list");
+                assert!(
+                    list.0.windows(2).all(|w| w[0].len <= w[1].len),
+                    "side {side} rank {rank}: lengths not ascending"
+                );
+                for p in &list.0 {
+                    let r = p.record as usize;
+                    assert!(index.alive[r], "side {side} rank {rank}: dead {r}");
+                    assert_eq!(index.sides[r].map(|s| s.0 as usize), Some(side), "{r}");
+                    assert_eq!(p.len as usize, index.docs[r].len(), "{r}: stale length");
+                    assert_eq!(index.docs[r][p.pos as usize], *rank, "{r}: stale position");
                 }
-                postings += bucket.len();
+                held += list.0.len();
             }
-            assert!(postings > 0, "rank {rank}: empty list");
-            assert_eq!(list.count as usize, postings, "rank {rank}: count");
+            let expected: usize = (0..index.len())
+                .filter(|&r| index.sides[r].is_some_and(|s| s.0 as usize == side))
+                .map(|r| indexed_window(&index.docs[r], index.threshold).len())
+                .sum();
+            assert_eq!(held, expected, "side {side}: postings vs indexed windows");
         }
         for (r, doc) in index.docs.iter().enumerate() {
             assert!(
@@ -938,55 +1003,89 @@ mod tests {
     }
 
     #[test]
+    fn postings_keep_lengths_and_positions_past_sixteen_bits() {
+        // At t = 0.05 a 70,001-token record indexes 66,501 prefix
+        // tokens, so both its length and its last positions overflow
+        // 16 bits; `assert_live_only` checks every posting's length and
+        // the rank at its position, and a copy still matches.
+        let giant = (0..=70_000)
+            .map(|i| format!("t{i}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let (dataset, _dict, index) = feed_state(&["t1 t2", &giant, &giant], 0.05);
+        assert_live_only(&index);
+        let longest = index.postings[0].values().flat_map(|l| &l.0);
+        assert!(longest.map(|p| p.pos).max() > Some(u16::MAX as u32));
+        assert_eq!(dataset.len(), 3);
+        let (out, _) = feed(&[&giant, &giant], 0.05);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].likelihood, 1.0);
+    }
+
+    #[test]
     fn postings_hold_only_live_records_through_a_mutation_script() {
         const WORDS: [&str; 10] = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut roll = |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
-        let mut dataset = Dataset::new("t", vec!["name".into()], PairSpace::SelfJoin);
-        let mut dict = StreamingDict::new();
-        let mut index = DeltaIndex::new(0.4);
-        let mut token_ids: Vec<Vec<u32>> = Vec::new();
-        let (mut out, mut stats) = (Vec::new(), JoinStats::default());
-        for _ in 0..400 {
-            let name: Vec<&str> = (0..1 + roll(6)).map(|_| WORDS[roll(WORDS.len())]).collect();
-            let ids = dict.encode_record(&tokenize(&name.join(" ")));
-            let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-            doc.sort_unstable();
-            let alive: Vec<u32> = (0..index.len() as u32)
-                .filter(|&r| index.is_alive(RecordId(r)))
-                .collect();
-            out.clear();
-            match roll(10) {
-                0..=4 => {
-                    dataset
-                        .push_record(SourceId(0), vec![name.join(" ")])
-                        .unwrap();
-                    token_ids.push(ids);
-                    index.join_and_insert(&dataset, doc, &mut out, &mut stats);
+        let spaces = [
+            PairSpace::SelfJoin,
+            PairSpace::CrossSource(SourceId(0), SourceId(1)),
+            PairSpace::CrossSource(SourceId(1), SourceId(0)),
+            PairSpace::CrossSource(SourceId(0), SourceId(0)),
+        ];
+        for space in spaces {
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let mut roll = |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            // Records from three sources, so every space has a source
+            // outside it or an intra-source pair to keep out.
+            let mut dataset = Dataset::new("t", vec!["name".into()], space);
+            let mut dict = StreamingDict::new();
+            let mut index = DeltaIndex::new(0.4);
+            let mut token_ids: Vec<Vec<u32>> = Vec::new();
+            let (mut out, mut stats) = (Vec::new(), JoinStats::default());
+            for _ in 0..400 {
+                let name: Vec<&str> = (0..1 + roll(6)).map(|_| WORDS[roll(WORDS.len())]).collect();
+                let ids = dict.encode_record(&tokenize(&name.join(" ")));
+                let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
+                doc.sort_unstable();
+                let alive: Vec<u32> = (0..index.len() as u32)
+                    .filter(|&r| index.is_alive(RecordId(r)))
+                    .collect();
+                out.clear();
+                match roll(10) {
+                    0..=4 => {
+                        let source = SourceId(roll(3) as u8);
+                        dataset.push_record(source, vec![name.join(" ")]).unwrap();
+                        token_ids.push(ids);
+                        index.join_and_insert(&dataset, doc, &mut out, &mut stats);
+                    }
+                    5 | 6 if !alive.is_empty() => index.remove(RecordId(alive[roll(alive.len())])),
+                    7 | 8 if !alive.is_empty() => {
+                        let record = RecordId(alive[roll(alive.len())]);
+                        token_ids[record.index()] = ids;
+                        index.update_doc(&dataset, record, doc, &mut out, &mut stats);
+                    }
+                    _ => {
+                        dict.rerank();
+                        index.rebuild(&dict, &token_ids);
+                    }
                 }
-                5 | 6 if !alive.is_empty() => index.remove(RecordId(alive[roll(alive.len())])),
-                7 | 8 if !alive.is_empty() => {
-                    let record = RecordId(alive[roll(alive.len())]);
-                    token_ids[record.index()] = ids;
-                    index.update_doc(&dataset, record, doc, &mut out, &mut stats);
-                }
-                _ => {
-                    dict.rerank();
-                    index.rebuild(&dict, &token_ids);
-                }
+                assert_live_only(&index);
+                let live_pair = |p: Pair| index.is_alive(p.lo()) && index.is_alive(p.hi());
+                assert!(out.iter().all(|sp| live_pair(sp.pair)), "{out:?}");
+                assert!(
+                    out.iter().all(|sp| dataset.is_candidate(&sp.pair)),
+                    "{space:?}: {out:?}"
+                );
             }
-            assert_live_only(&index);
-            let live_pair = |p: Pair| index.is_alive(p.lo()) && index.is_alive(p.hi());
-            assert!(out.iter().all(|sp| live_pair(sp.pair)), "{out:?}");
+            assert!(
+                index.live() > 0 && index.live() < index.len(),
+                "script exercised removes"
+            );
+            assert!(stats.results > 0, "{space:?}: script joined nothing");
         }
-        assert!(
-            index.live() > 0 && index.live() < index.len(),
-            "script exercised removes"
-        );
     }
 }

@@ -26,10 +26,13 @@
 //!   probe: symmetric prefix filter, positional filter, suffix filter,
 //!   and resume-merge verification. The probe itself is the kernel the
 //!   batch engine runs too (`crowder_simjoin::filters::Probe`); this
-//!   crate keeps only the posting lists, which are **bucketed by record
-//!   length** (O(1) append per arrival) so the length filter is a
-//!   binary-searched window over bucket headers, not a per-candidate
-//!   check — see the [`delta`] module docs. Deletion strips the dead
+//!   crate keeps only the posting lists. They are **split by join
+//!   side** ([`PairSpace::sides`](crowder_types::PairSpace::sides)), as
+//!   the batch join's are, so an arrival probes only the source it can
+//!   pair with and no pair outside the pair space is ever enumerated;
+//!   and each (side, rank) list is **one vector sorted by record
+//!   length**, so the length filter is one binary-searched slice, not a
+//!   per-candidate check — see the [`delta`] module docs. Deletion strips the dead
 //!   record's postings at once (the same strip an in-place update
 //!   runs), so the index only ever holds live records and churn never
 //!   degrades it. Read-only **query probes**

@@ -346,7 +346,9 @@ impl IncrementalResolver {
     /// [`IncrementalResolver::insert`] would have surfaced for the same
     /// fields over the current corpus — same filters, same verification
     /// — but nothing is interned, indexed, logged, or clustered; the
-    /// corpus is untouched (only probe scratch inside the index
+    /// query probes only the join side its source pairs with (a source
+    /// outside the pair space matches nothing), and the corpus is
+    /// untouched (only probe scratch inside the index
     /// mutates, which is not part of any exported state). Matches come
     /// back in ascending record order. Errors only on schema mismatch.
     pub fn query(
@@ -364,21 +366,11 @@ impl IncrementalResolver {
         }
         let set = tokenize(&fields.join(" "));
         let doc = self.dict.encode_query(&set);
-        // The query record is virtual — it has no id in the dataset —
-        // so the candidate-space filter is evaluated directly against
-        // the indexed records' sources.
-        let (index, dataset) = (&mut self.index, &self.dataset);
-        let records = dataset.records();
-        let space_ok = |y: u32| match dataset.pair_space {
-            PairSpace::SelfJoin => true,
-            PairSpace::CrossSource(a, b) => {
-                let s = records[y as usize].source;
-                (source == a && s == b) || (source == b && s == a)
-            }
-        };
         let mut found = Vec::new();
-        let mut stats = JoinStats::default();
-        index.probe_query(&doc, space_ok, &mut found, &mut stats);
+        if let Some((_, probed)) = self.dataset.pair_space.sides(source) {
+            let mut stats = JoinStats::default();
+            self.index.probe_query(probed, &doc, &mut found, &mut stats);
+        }
         if crowder_obs::recording() {
             crowder_obs::counter!("stream.resolver.queries").incr();
         }
@@ -1056,7 +1048,7 @@ impl IncrementalResolver {
                 }
             })
             .collect();
-        let index = DeltaIndex::from_docs(config.threshold, docs, alive)?;
+        let index = DeltaIndex::from_docs(&dataset, config.threshold, docs, alive)?;
         for (pair, _, _, _) in &tallies {
             if pair.hi().index() >= dataset.len() {
                 return Err(Error::UnknownRecord(pair.hi().0));
@@ -1589,7 +1581,10 @@ mod tests {
         r.insert(SourceId(1), vec!["alpha beta".into()]).unwrap();
         let pairs: Vec<Pair> = r.ranked_pairs().iter().map(|s| s.pair).collect();
         assert_eq!(pairs, vec![Pair::of(0, 2), Pair::of(1, 2)]);
-        assert!(r.cumulative_stats().space_pruned > 0);
+        // Each source probes only the other's postings: the two
+        // cross pairs are the only candidates ever enumerated, and the
+        // same-source pair (0, 1) never was one.
+        assert_eq!(r.cumulative_stats().candidates, 2);
         assert_eq!(r.ranked_pairs(), batch_pairs(r.dataset(), 0.5));
     }
 
@@ -1605,11 +1600,7 @@ mod tests {
         let s = r.cumulative_stats();
         assert_eq!(
             s.candidates,
-            s.positional_pruned
-                + s.space_pruned
-                + s.signature_rejected
-                + s.suffix_pruned
-                + s.verified,
+            s.positional_pruned + s.signature_rejected + s.suffix_pruned + s.verified,
             "{s:?}"
         );
         assert_eq!(s.results as usize, r.pairs().len());

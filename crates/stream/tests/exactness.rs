@@ -13,12 +13,74 @@ use crowder_simjoin::{prefix_join, TokenTable};
 use crowder_stream::{HitDelta, IncrementalResolver, StreamConfig};
 use crowder_types::{Dataset, Pair, PairSpace, RecordId, ScoredPair, SourceId};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::collections::{HashMap, HashSet};
 
 /// Batch reference over a finished corpus.
 fn batch_pairs(dataset: &Dataset, threshold: f64, threads: usize) -> Vec<ScoredPair> {
     let tokens = TokenTable::build(dataset);
     prefix_join(dataset, &tokens, threshold, threads)
+}
+
+/// The pair spaces the mutation contracts run under: a self-join, a
+/// cross-source join in both orders, and a self-join of one source
+/// written as `CrossSource(a, a)`. Records come from three sources, so
+/// each cross-source space has a source outside it.
+const SPACES: [PairSpace; 4] = [
+    PairSpace::SelfJoin,
+    PairSpace::CrossSource(SourceId(0), SourceId(1)),
+    PairSpace::CrossSource(SourceId(1), SourceId(0)),
+    PairSpace::CrossSource(SourceId(0), SourceId(0)),
+];
+
+/// The resolver's live pairs equal a batch join over its live corpus
+/// (through the monotone dense re-numbering of `live_dataset`).
+fn live_pairs_match_batch(
+    resolver: &IncrementalResolver,
+    threshold: f64,
+) -> Result<(), TestCaseError> {
+    let (dense, original) = resolver.live_dataset();
+    let to_dense: HashMap<RecordId, u32> = original
+        .iter()
+        .enumerate()
+        .map(|(d, &o)| (o, d as u32))
+        .collect();
+    let remapped: Vec<ScoredPair> = resolver
+        .ranked_pairs()
+        .iter()
+        .map(|sp| {
+            ScoredPair::new(
+                Pair::of(to_dense[&sp.pair.lo()], to_dense[&sp.pair.hi()]),
+                sp.likelihood,
+            )
+        })
+        .collect();
+    prop_assert_eq!(remapped, batch_pairs(&dense, threshold, 0));
+    Ok(())
+}
+
+/// A query from each of the three sources returns exactly the matches
+/// an insert of the same fields from that source would surface.
+fn queries_match_inserts(
+    resolver: &mut IncrementalResolver,
+    fields: &[String],
+) -> Result<(), TestCaseError> {
+    for source in (0..3).map(SourceId) {
+        let arrival = resolver.clone().insert(source, fields.to_vec()).unwrap();
+        let expected: Vec<(RecordId, f64)> = arrival
+            .new_pairs
+            .iter()
+            .map(|sp| (sp.pair.lo(), sp.likelihood))
+            .collect();
+        let got: Vec<(RecordId, f64)> = resolver
+            .query(source, fields)
+            .unwrap()
+            .iter()
+            .map(|m| (m.record, m.similarity))
+            .collect();
+        prop_assert_eq!(got, expected, "source {:?}", source);
+    }
+    Ok(())
 }
 
 /// Build the batch dataset and stream the same records (in the same
@@ -100,14 +162,15 @@ proptest! {
     /// Degenerate thresholds degrade exactly like the batch engine —
     /// including t = 1.0, where every prefix saturates (the adaptive
     /// window cap ⌈t·lx⌉ and the truncation cutoffs sit exactly on
-    /// their boundaries).
+    /// their boundaries) — in a self-join and across two sources.
     #[test]
     fn degenerate_thresholds_match_batch(
         names in proptest::collection::vec("[a-c]{1,2}( [a-c]{1,2}){0,3}", 2..12),
         which in 0usize..=3,
+        cross in proptest::bool::ANY,
     ) {
         let thr = [0.0, -0.5, 1.5, 1.0][which];
-        let (resolver, dataset) = stream_and_batch(&names, false, thr, 16);
+        let (resolver, dataset) = stream_and_batch(&names, cross, thr, 16);
         prop_assert_eq!(resolver.ranked_pairs(), batch_pairs(&dataset, thr, 1));
     }
 
@@ -127,21 +190,24 @@ proptest! {
     }
 
     /// The exactness contract *under mutation*: any interleaving of
-    /// inserts, deletions of live records, and re-inserts of previously
-    /// deleted records ends bit-identical to a batch `prefix_join` over
-    /// the final live corpus (through the monotone dense re-numbering
-    /// of `live_dataset`).
+    /// inserts from three sources, deletions of live records, and
+    /// re-inserts of previously deleted records, under every pair-space
+    /// shape and with one forced re-rank mid-script, stays bit-identical
+    /// to a batch `prefix_join` over the live corpus after every step;
+    /// and a query from each source answers exactly what an insert of
+    /// the same fields would surface.
     #[test]
     fn mutation_interleavings_match_batch_over_live_corpus(
         names in proptest::collection::vec("[a-e]{1,3}( [a-e]{1,3}){0,4}", 3..20),
         seed in 0u64..=1_000_000,
         thr in 0.05f64..=1.0,
         rebuild in 2usize..=32,
+        space in 0usize..SPACES.len(),
     ) {
         let mut resolver = IncrementalResolver::new(
             "t",
             vec!["name".into()],
-            PairSpace::SelfJoin,
+            SPACES[space],
             StreamConfig { threshold: thr, rebuild_min_interval: rebuild, ..StreamConfig::default() },
         );
         let mut state = seed | 1;
@@ -150,61 +216,60 @@ proptest! {
             (state >> 33) as usize % m
         };
         let mut alive: Vec<RecordId> = Vec::new();
-        let mut graveyard: Vec<Vec<String>> = Vec::new();
+        let mut graveyard: Vec<(SourceId, Vec<String>)> = Vec::new();
         let mut pending: Vec<&String> = names.iter().rev().collect();
         // 2x the corpus length of ops: every record arrives, and there is
         // room for deletions and re-inserts in between.
-        for _ in 0..names.len() * 2 {
+        let steps = names.len() * 2;
+        for step in 0..steps {
+            if step == steps / 2 {
+                resolver.rerank_now();
+            }
             match roll(4) {
                 // Delete a random live record.
                 0 if !alive.is_empty() => {
                     let victim = alive.swap_remove(roll(alive.len()));
-                    graveyard.push(resolver.dataset().record(victim).unwrap().fields.clone());
+                    let record = resolver.dataset().record(victim).unwrap();
+                    graveyard.push((record.source, record.fields.clone()));
                     resolver.remove(victim).unwrap();
                 }
                 // Re-insert a previously deleted record's fields (a new
                 // id: slots are never reused).
                 1 if !graveyard.is_empty() => {
-                    let fields = graveyard.swap_remove(roll(graveyard.len()));
-                    alive.push(resolver.insert(SourceId(0), fields).unwrap().record);
+                    let (source, fields) = graveyard.swap_remove(roll(graveyard.len()));
+                    alive.push(resolver.insert(source, fields).unwrap().record);
                 }
-                // Fresh arrival.
+                // Fresh arrival from any of the three sources.
                 _ => {
                     if let Some(name) = pending.pop() {
-                        alive.push(resolver.insert(SourceId(0), vec![name.clone()]).unwrap().record);
+                        let source = SourceId(roll(3) as u8);
+                        alive.push(resolver.insert(source, vec![name.clone()]).unwrap().record);
                     }
                 }
             }
+            live_pairs_match_batch(&resolver, thr)?;
+            queries_match_inserts(&mut resolver, &[names[roll(names.len())].clone()])?;
         }
-        let (dense, original) = resolver.live_dataset();
-        prop_assert_eq!(dense.len(), alive.len());
-        let to_dense: HashMap<RecordId, u32> =
-            original.iter().enumerate().map(|(d, &o)| (o, d as u32)).collect();
-        let remapped: Vec<ScoredPair> = resolver
-            .ranked_pairs()
-            .iter()
-            .map(|sp| ScoredPair::new(
-                Pair::of(to_dense[&sp.pair.lo()], to_dense[&sp.pair.hi()]),
-                sp.likelihood,
-            ))
-            .collect();
-        prop_assert_eq!(remapped, batch_pairs(&dense, thr, 0));
+        prop_assert_eq!(resolver.live_len(), alive.len());
     }
 
     /// In-place corrections keep the contract too: any interleaving of
-    /// arrivals, deletions, and `update`s (each rewriting a live
-    /// record's fields under its existing id) still matches a batch
-    /// join over the final live corpus bit-for-bit.
+    /// arrivals from three sources, deletions, and `update`s (each
+    /// rewriting a live record's fields under its existing id), under
+    /// every pair-space shape and with one forced re-rank mid-script,
+    /// matches a batch join over the live corpus after every step, and
+    /// queries keep answering what an insert would surface.
     #[test]
     fn update_interleavings_match_batch_over_live_corpus(
         names in proptest::collection::vec("[a-e]{1,3}( [a-e]{1,3}){0,4}", 4..20),
         seed in 0u64..=1_000_000,
         thr in 0.05f64..=1.0,
+        space in 0usize..SPACES.len(),
     ) {
         let mut resolver = IncrementalResolver::new(
             "t",
             vec!["name".into()],
-            PairSpace::SelfJoin,
+            SPACES[space],
             StreamConfig { threshold: thr, ..StreamConfig::default() },
         );
         let mut state = seed | 1;
@@ -214,7 +279,11 @@ proptest! {
         };
         let mut alive: Vec<RecordId> = Vec::new();
         let mut pending: Vec<&String> = names.iter().rev().collect();
-        for _ in 0..names.len() * 2 {
+        let steps = names.len() * 2;
+        for step in 0..steps {
+            if step == steps / 2 {
+                resolver.rerank_now();
+            }
             match roll(4) {
                 // Correct a random live record to a random name from
                 // the pool (possibly its current one — a no-op update
@@ -229,44 +298,38 @@ proptest! {
                     let victim = alive.swap_remove(roll(alive.len()));
                     resolver.remove(victim).unwrap();
                 }
-                // Fresh arrival.
+                // Fresh arrival from any of the three sources.
                 _ => {
                     if let Some(name) = pending.pop() {
-                        alive.push(resolver.insert(SourceId(0), vec![name.clone()]).unwrap().record);
+                        let source = SourceId(roll(3) as u8);
+                        alive.push(resolver.insert(source, vec![name.clone()]).unwrap().record);
                     }
                 }
             }
+            live_pairs_match_batch(&resolver, thr)?;
+            queries_match_inserts(&mut resolver, &[names[roll(names.len())].clone()])?;
         }
-        let (dense, original) = resolver.live_dataset();
-        prop_assert_eq!(dense.len(), alive.len());
-        let to_dense: HashMap<RecordId, u32> =
-            original.iter().enumerate().map(|(d, &o)| (o, d as u32)).collect();
-        let remapped: Vec<ScoredPair> = resolver
-            .ranked_pairs()
-            .iter()
-            .map(|sp| ScoredPair::new(
-                Pair::of(to_dense[&sp.pair.lo()], to_dense[&sp.pair.hi()]),
-                sp.likelihood,
-            ))
-            .collect();
-        prop_assert_eq!(remapped, batch_pairs(&dense, thr, 0));
+        prop_assert_eq!(resolver.live_len(), alive.len());
     }
 
     /// The snapshot contract behind the durability layer: exporting at
     /// any flush boundary and importing into a fresh resolver yields a
     /// replica whose *future* — further arrivals, deletions, updates,
     /// votes, and HIT flushes — is bit-for-bit identical to the
-    /// original's.
+    /// original's, under every pair-space shape with records from
+    /// three sources (the import derives each record's join sides from
+    /// its source again).
     #[test]
     fn state_round_trip_preserves_the_future(
         names in proptest::collection::vec("[a-d]{1,2}( [a-d]{1,2}){0,4}", 4..14),
         seed in 0u64..=1_000_000,
         thr in 0.1f64..=0.9,
+        space in 0usize..SPACES.len(),
     ) {
         let mut resolver = IncrementalResolver::new(
             "t",
             vec!["name".into()],
-            PairSpace::SelfJoin,
+            SPACES[space],
             StreamConfig { threshold: thr, ..StreamConfig::default() },
         );
         let mut state = seed | 1;
@@ -278,7 +341,11 @@ proptest! {
         let (prefix, suffix) = names.split_at(split);
         let mut alive: Vec<RecordId> = Vec::new();
         for name in prefix {
-            alive.push(resolver.insert(SourceId(0), vec![name.clone()]).unwrap().record);
+            let source = SourceId(roll(3) as u8);
+            alive.push(resolver.insert(source, vec![name.clone()]).unwrap().record);
+        }
+        if roll(2) == 0 {
+            resolver.rerank_now();
         }
         for _ in 0..roll(6) {
             let a = roll(resolver.len());
@@ -297,8 +364,9 @@ proptest! {
         // Drive both sides through an identical future.
         let mut futures = [&mut resolver, &mut replica];
         for name in suffix {
+            let source = SourceId(roll(3) as u8);
             for r in futures.iter_mut() {
-                r.insert(SourceId(0), vec![name.clone()]).unwrap();
+                r.insert(source, vec![name.clone()]).unwrap();
             }
         }
         let live = alive.clone();
@@ -319,6 +387,8 @@ proptest! {
         }
         let [a, b] = futures;
         prop_assert_eq!(a.export_state().unwrap(), b.export_state().unwrap());
+        live_pairs_match_batch(b, thr)?;
+        queries_match_inserts(b, &[names[roll(names.len())].clone()])?;
     }
 
     /// Exact revocability: after any burst of signed crowd votes —

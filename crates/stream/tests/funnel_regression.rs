@@ -6,7 +6,7 @@
 //! goes further: a per-probe count-filter level picked from live
 //! posting mass, last-token truncation (candidates that cannot survive
 //! the positional filter are never surfaced), and a 256-bit band-
-//! signature reject between the space and suffix filters.
+//! signature reject between the positional and suffix filters.
 //!
 //! The pins below are measured on the deterministic Restaurant and
 //! Product corpora, for the streaming `IncrementalResolver` and for the
@@ -17,9 +17,11 @@
 //!   (out-of-window enumerations included);
 //! * PR 7 length-bucketed skip: 411,175 still — the t = 0.3 window is
 //!   too wide to bite on this corpus;
-//! * adaptive tier (this revision): **16,037** — the count filter and
-//!   truncation kill ~25x of the old candidate stage before any
-//!   per-pair work, with the result set bit-identical (1,425 pairs).
+//! * adaptive tier: 16,037 — the count filter and truncation kill ~25x
+//!   of the old candidate stage before any per-pair work, with the
+//!   result set bit-identical (1,425 pairs);
+//! * side-split delta index: **9,310** — the 8,148 intra-source
+//!   candidates are never enumerated (see below).
 //!
 //! The batch join's index is split by join side (each record probes
 //! only the partner source's postings), so its Product rows count no
@@ -37,8 +39,22 @@
 //!   `[768, 219, 0, 541, 1, 7, 5]` (one more candidate, killed before
 //!   by the count filter at a higher level, now reaches verification).
 //!
-//! The Restaurant rows (a self-join, one side) and every stream pin are
-//! unchanged: `crowder-stream`'s delta index is not split.
+//! The Restaurant rows are a self-join (one side) and did not move.
+//!
+//! The stream's delta index is split by join side the same way, and the
+//! space stage is gone from both funnels (no engine can enumerate a
+//! pair outside the pair space any more), so the pins lost their space
+//! column. On Product the stream counts no intra-source candidate, and
+//! the adaptive level weighs only the partner side's smaller posting
+//! mass, so it picks lower count-filter levels: more pairs survive the
+//! count filter and die at the cheap signature check instead. Before →
+//! after, as `[candidates, positional, space, signature, suffix,
+//! verified, results]`:
+//!
+//! * t = 0.3: `[16037, 2010, 8148, 4314, 129, 1436, 1425]` →
+//!   `[9310, 1684, —, 6059, 131, 1436, 1425]`;
+//! * t = 0.6: `[3725, —, —, 961, —, 94, 88]` (the buckets pinned) →
+//!   `[4474, 2606, —, 1769, 5, 94, 88]`.
 
 use crowder_datagen::{product, restaurant, ProductConfig, RestaurantConfig};
 use crowder_simjoin::{
@@ -57,11 +73,7 @@ const PRODUCT_T03_CANDIDATE_CEILING: u64 = 65_000;
 fn assert_leak_free(stats: &JoinStats, what: &str) {
     assert_eq!(
         stats.candidates,
-        stats.positional_pruned
-            + stats.space_pruned
-            + stats.signature_rejected
-            + stats.suffix_pruned
-            + stats.verified,
+        stats.positional_pruned + stats.signature_rejected + stats.suffix_pruned + stats.verified,
         "{what}: funnel leaks"
     );
 }
@@ -97,11 +109,10 @@ fn stream_product(threshold: f64) -> (JoinStats, usize) {
 #[test]
 fn product_funnel_is_pinned_at_the_bench_threshold() {
     let (stats, pairs) = stream_product(0.3);
-    assert_eq!(stats.candidates, 16_037, "candidate stage diverged");
-    assert_eq!(stats.positional_pruned, 2_010, "positional stage diverged");
-    assert_eq!(stats.space_pruned, 8_148, "space stage diverged");
-    assert_eq!(stats.signature_rejected, 4_314, "signature stage diverged");
-    assert_eq!(stats.suffix_pruned, 129, "suffix stage diverged");
+    assert_eq!(stats.candidates, 9_310, "candidate stage diverged");
+    assert_eq!(stats.positional_pruned, 1_684, "positional stage diverged");
+    assert_eq!(stats.signature_rejected, 6_059, "signature stage diverged");
+    assert_eq!(stats.suffix_pruned, 131, "suffix stage diverged");
     assert_eq!(stats.verified, 1_436, "verify stage diverged");
     assert_leak_free(&stats, "stream product t=0.3");
     assert_eq!(pairs, 1_425, "result set diverged");
@@ -121,7 +132,8 @@ fn product_candidates_stay_under_the_enforced_ceiling() {
 
 /// t = 0.6 — the length window and truncation both bite. The pre-tier
 /// length-bucketed walk surfaced 68,383 candidates; the adaptive tier
-/// cuts that to 3,725 with identical results.
+/// cut that to 3,725, and the side split (lower levels on the smaller
+/// partner side) reads 4,474, with identical results.
 #[test]
 fn tight_threshold_funnel_is_pinned() {
     const PRE_TIER_CANDIDATES: u64 = 68_383;
@@ -132,8 +144,8 @@ fn tight_threshold_funnel_is_pinned() {
         stats.candidates,
         PRE_TIER_CANDIDATES
     );
-    assert_eq!(stats.candidates, 3_725, "candidate stage diverged");
-    assert_eq!(stats.signature_rejected, 961, "signature stage diverged");
+    assert_eq!(stats.candidates, 4_474, "candidate stage diverged");
+    assert_eq!(stats.signature_rejected, 1_769, "signature stage diverged");
     assert_eq!(stats.verified, 94, "verify stage diverged");
     assert_leak_free(&stats, "stream product t=0.6");
     assert_eq!(pairs, 88, "result set diverged");
@@ -146,19 +158,19 @@ fn batch_funnel(dataset: &Dataset, threshold: f64) -> JoinStats {
 
 /// The batch `prefix_join_with_stats` funnel on both corpora at the
 /// three gated thresholds, pinned exactly: candidates, then the
-/// positional, space, signature and suffix rejects, then verified and
+/// positional, signature and suffix rejects, then verified and
 /// results. Restaurant t = 0.7 admits more candidates than t = 0.5 —
 /// the adaptive level stays low at high thresholds and the signature
 /// stage rejects nearly all of them.
 #[test]
 fn batch_funnels_are_pinned() {
-    const PINS: [(&str, f64, [u64; 7]); 6] = [
-        ("restaurant", 0.3, [4_131, 415, 0, 2_694, 172, 850, 850]),
-        ("restaurant", 0.5, [435, 52, 0, 290, 0, 93, 93]),
-        ("restaurant", 0.7, [2_696, 165, 0, 2_473, 0, 58, 58]),
-        ("product", 0.3, [3_271, 89, 0, 1_652, 99, 1_431, 1_425]),
-        ("product", 0.5, [1_503, 157, 0, 1_031, 6, 309, 302]),
-        ("product", 0.7, [768, 219, 0, 541, 1, 7, 5]),
+    const PINS: [(&str, f64, [u64; 6]); 6] = [
+        ("restaurant", 0.3, [4_131, 415, 2_694, 172, 850, 850]),
+        ("restaurant", 0.5, [435, 52, 290, 0, 93, 93]),
+        ("restaurant", 0.7, [2_696, 165, 2_473, 0, 58, 58]),
+        ("product", 0.3, [3_271, 89, 1_652, 99, 1_431, 1_425]),
+        ("product", 0.5, [1_503, 157, 1_031, 6, 309, 302]),
+        ("product", 0.7, [768, 219, 541, 1, 7, 5]),
     ];
     let restaurant = restaurant(&RestaurantConfig::default());
     let product = product(&ProductConfig::default());
@@ -174,7 +186,6 @@ fn batch_funnels_are_pinned() {
         let got = [
             s.candidates,
             s.positional_pruned,
-            s.space_pruned,
             s.signature_rejected,
             s.suffix_pruned,
             s.verified,

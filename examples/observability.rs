@@ -62,7 +62,6 @@ fn main() {
     // verified set.
     let candidates = snap.counter("simjoin.funnel.candidates");
     let pruned = snap.counter("simjoin.funnel.positional_pruned")
-        + snap.counter("simjoin.funnel.space_pruned")
         + snap.counter("simjoin.funnel.signature_rejected")
         + snap.counter("simjoin.funnel.suffix_pruned");
     let verified = snap.counter("simjoin.funnel.verified");

@@ -9,15 +9,16 @@ use crate::unionfind::UnionFind;
 use crowder_types::{Pair, RecordId};
 
 /// Partition a pair list by connected component of the graph whose
-/// edges are the pairs: returns, for each component, the pairs inside
-/// it (which is all the pairs touching it, since pairs are edges).
+/// edges are the pairs: returns, for each component, its vertices and
+/// the pairs inside it (which is all the pairs touching it, since pairs
+/// are edges).
 ///
-/// Components are ordered by their smallest record, and each
-/// component's pairs are sorted and deduplicated, so the output is
-/// deterministic. One [`UnionFind`] pass over the pairs does the work,
-/// on dense vertex indices found by binary search in the sorted
-/// endpoint list.
-pub fn pairs_by_component(pairs: &[Pair]) -> Vec<Vec<Pair>> {
+/// Components are ordered by their smallest record; each component's
+/// vertices ascend, and its pairs are sorted and deduplicated, so the
+/// output is deterministic. One [`UnionFind`] pass over the pairs does
+/// the work, on dense vertex indices found by binary search in the
+/// sorted endpoint list.
+pub fn pairs_by_component(pairs: &[Pair]) -> Vec<(Vec<RecordId>, Vec<Pair>)> {
     let mut pairs = pairs.to_vec();
     pairs.sort_unstable();
     pairs.dedup();
@@ -40,10 +41,14 @@ pub fn pairs_by_component(pairs: &[Pair]) -> Vec<Vec<Pair>> {
             count += 1;
         }
     }
-    let mut out: Vec<Vec<Pair>> = vec![Vec::new(); count as usize];
-    // Pairs ascend, so every component's list comes out sorted.
+    let mut out: Vec<(Vec<RecordId>, Vec<Pair>)> = vec![Default::default(); count as usize];
+    // Vertices and pairs ascend, so every component's lists come out
+    // sorted.
+    for (v, &record) in verts.iter().enumerate() {
+        out[component[uf.find(v)] as usize].0.push(record);
+    }
     for p in pairs {
-        out[component[uf.find(vertex(p.lo()))] as usize].push(p);
+        out[component[uf.find(vertex(p.lo()))] as usize].1.push(p);
     }
     out
 }
@@ -83,19 +88,16 @@ mod tests {
         // components — {r1..r7} (an LCC at k=4) and {r8, r9} (an SCC).
         let split = pairs_by_component(&figure5_pairs());
         assert_eq!(split.len(), 2);
-        assert_eq!(
-            vertices(&split[0]),
-            (1..=7).map(RecordId).collect::<Vec<_>>()
-        );
-        assert_eq!(vertices(&split[1]), vec![RecordId(8), RecordId(9)]);
+        assert_eq!(split[0].0, (1..=7).map(RecordId).collect::<Vec<_>>());
+        assert_eq!(split[1].0, vec![RecordId(8), RecordId(9)]);
     }
 
     #[test]
     fn pairs_by_component_splits_edges() {
         let split = pairs_by_component(&figure5_pairs());
         assert_eq!(split.len(), 2);
-        assert_eq!(split[0].len(), 9);
-        assert_eq!(split[1], vec![Pair::of(8, 9)]);
+        assert_eq!(split[0].1.len(), 9);
+        assert_eq!(split[1].1, vec![Pair::of(8, 9)]);
     }
 
     #[test]
@@ -106,7 +108,10 @@ mod tests {
     #[test]
     fn singleton_edges_are_their_own_components() {
         let pairs = vec![Pair::of(4, 5), Pair::of(0, 1), Pair::of(2, 3)];
-        let split = pairs_by_component(&pairs);
+        let split: Vec<Vec<Pair>> = pairs_by_component(&pairs)
+            .into_iter()
+            .map(|(_, group)| group)
+            .collect();
         assert_eq!(
             split,
             vec![
@@ -120,13 +125,17 @@ mod tests {
     #[test]
     fn duplicate_pairs_collapse() {
         let pairs = vec![Pair::of(0, 1), Pair::of(1, 0), Pair::of(0, 1)];
-        assert_eq!(pairs_by_component(&pairs), vec![vec![Pair::of(0, 1)]]);
+        assert_eq!(
+            pairs_by_component(&pairs),
+            vec![(vec![RecordId(0), RecordId(1)], vec![Pair::of(0, 1)])]
+        );
     }
 
     proptest! {
         /// Against a brute-force flood fill: the components hold every
-        /// distinct pair exactly once, share no vertex, are internally
-        /// connected, and ascend by smallest record.
+        /// distinct pair exactly once, list exactly their pairs'
+        /// endpoints as ascending vertices, share no vertex, are
+        /// internally connected, and ascend by smallest record.
         #[test]
         fn matches_flood_fill(
             raw in proptest::collection::vec((0u32..30, 0u32..30), 0..40),
@@ -140,14 +149,15 @@ mod tests {
             let mut expect = pairs.clone();
             expect.sort_unstable();
             expect.dedup();
-            let mut got: Vec<Pair> = split.iter().flatten().copied().collect();
+            let mut got: Vec<Pair> = split.iter().flat_map(|(_, g)| g).copied().collect();
             got.sort_unstable();
             prop_assert_eq!(got, expect);
             let mut seen: Vec<RecordId> = Vec::new();
             let mut last_min = None;
-            for group in &split {
+            for (listed, group) in &split {
                 prop_assert!(group.windows(2).all(|w| w[0] < w[1]));
                 let verts = vertices(group);
+                prop_assert_eq!(listed, &verts);
                 prop_assert!(last_min < Some(verts[0]));
                 last_min = Some(verts[0]);
                 // Flood fill from the smallest vertex reaches them all.

@@ -40,25 +40,32 @@ pub struct HitGraph {
 impl HitGraph {
     /// Build from a pair list, in any order; duplicates collapse.
     pub fn from_pairs(pairs: &[Pair]) -> Self {
-        if pairs.windows(2).all(|w| w[0] < w[1]) {
-            Self::from_sorted(pairs)
+        let sorted;
+        let pairs = if pairs.windows(2).all(|w| w[0] < w[1]) {
+            pairs
         } else {
-            let mut sorted = pairs.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            Self::from_sorted(&sorted)
-        }
+            let mut owned = pairs.to_vec();
+            owned.sort_unstable();
+            owned.dedup();
+            sorted = owned;
+            &sorted
+        };
+        let mut records: Vec<RecordId> = pairs.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
+        records.sort_unstable();
+        records.dedup();
+        Self::from_component(records, pairs)
     }
 
-    /// Build from strictly ascending pairs.
-    fn from_sorted(pairs: &[Pair]) -> Self {
+    /// Build from strictly ascending `pairs` and `records`, their
+    /// endpoints in ascending order — one component of
+    /// [`pairs_by_component`](crate::pairs_by_component).
+    pub fn from_component(records: Vec<RecordId>, pairs: &[Pair]) -> Self {
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(records.windows(2).all(|w| w[0] < w[1]));
         assert!(
             u32::try_from(2 * pairs.len()).is_ok(),
             "edge ids and row offsets are u32"
         );
-        let mut records: Vec<RecordId> = pairs.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
-        records.sort_unstable();
-        records.dedup();
         let n = records.len();
         let local = |r: RecordId| {
             records

@@ -7,8 +7,9 @@
 //! cluster-based HIT is a vertex set that *covers* the edges inside it.
 //! All five cluster-HIT generators operate on this structure:
 //!
-//! * [`pairs_by_component`] — a pair list split by connected component
-//!   (the two-tiered algorithm's first step, Algorithm 1 line 2),
+//! * [`pairs_by_component`] — a pair list split by connected component,
+//!   each with its ascending vertex list (the two-tiered algorithm's
+//!   first step, Algorithm 1 line 2),
 //! * [`HitGraph`] — a flat CSR graph over dense local ids supporting
 //!   the edge removals every generator performs ("remove the edges
 //!   covered by H"), with the max-degree query Algorithm 2 seeds from,

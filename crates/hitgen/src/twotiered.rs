@@ -57,19 +57,16 @@ impl ClusterGenerator for TwoTieredGenerator {
     fn generate(&self, pairs: &[Pair], k: usize) -> Result<Vec<Hit>> {
         check_k(k)?;
         // Line 2: connected components of the pair graph, with each
-        // component's edges grouped in one pass over the pair list.
-        let component_pairs = crowder_graph::components::pairs_by_component(pairs);
+        // component's vertices and edges grouped in one pass.
+        let components = crowder_graph::components::pairs_by_component(pairs);
 
         // Lines 3-5: SCCs pass through; LCCs are partitioned.
         let mut sccs: Vec<Vec<RecordId>> = Vec::new();
-        for group in component_pairs {
-            let mut vertices: Vec<RecordId> = group.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
-            vertices.sort_unstable();
-            vertices.dedup();
+        for (vertices, group) in components {
             if vertices.len() <= k {
                 sccs.push(vertices);
             } else {
-                let mut lcc = HitGraph::from_pairs(&group);
+                let mut lcc = HitGraph::from_component(vertices, &group);
                 sccs.extend(partition_lcc(
                     &mut lcc,
                     k,

@@ -8,9 +8,10 @@
 //! `simjoin` (§7.1).
 //!
 //! All strategies share one substrate: [`TokenTable`] interns the
-//! corpus tokens to `u32` ids ordered by ascending corpus frequency
-//! (via [`crowder_text::TokenDict`]) and caches each record's sorted id
-//! list at construction. Scoring a pair is then an integer-slice merge;
+//! corpus tokens through [`crowder_text::TokenDict`], the dictionary the
+//! streaming engine interns arrivals with, renumbers them to `u32` ids
+//! ordered by ascending corpus frequency, and caches each record's
+//! sorted id list at construction. Scoring a pair is then an integer-slice merge;
 //! the global rarest-first id order doubles as the prefix-filtering
 //! token order, so no strategy re-derives a vocabulary per call.
 //!

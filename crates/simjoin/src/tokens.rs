@@ -2,13 +2,12 @@
 //!
 //! §7.1: *"We first generated a token set for each record, which
 //! consisted of the tokens from all attribute values."* The table
-//! tokenizes every record once and interns the tokens through a
-//! corpus-wide [`TokenDict`], so each record carries a sorted `Vec<u32>`
-//! id list. All join strategies work on those id lists: the per-pair
-//! inner merge compares `u32`s instead of `String`s, and the
-//! dictionary's rarest-first id order is exactly the global token order
-//! prefix filtering needs, computed once at construction instead of once
-//! per join call.
+//! interns every record once through a corpus-wide [`TokenDict`], so
+//! each record carries a sorted `Vec<u32>` id list. All join strategies
+//! work on those id lists: the per-pair inner merge compares `u32`s
+//! instead of `String`s, and the dictionary's rarest-first id order is
+//! exactly the global token order prefix filtering needs, computed once
+//! at construction instead of once per join call.
 //!
 //! The rarest-first order carries a second load since the adaptive
 //! prefix tier: the join estimates a prefix token's selectivity from
@@ -19,11 +18,11 @@
 //! cheap frontier means every earlier token was cheap too.
 //!
 //! Every constructor runs one interning pass: each record's selected
-//! fields are joined and normalized into two reused buffers, and each
-//! token occurrence costs one map lookup in a [`DictBuilder`], which
-//! allocates a `String` only per distinct token, deduplicates and
-//! counts document frequency on integer ids, and sorts the distinct
-//! tokens once at the end.
+//! fields go through [`TokenDict::intern`] (the same call the streaming
+//! engine makes per arrival), which costs one map lookup per token
+//! occurrence and allocates a `String` only per distinct token. One
+//! [`TokenDict::renumber_rarest_first`] at the end turns the
+//! first-sight ids into rarest-first ids and re-sorts every list.
 //!
 //! Production paths hold *only* the id lists — on Product-scale corpora
 //! the string [`TokenSet`]s roughly double the table's memory while no
@@ -31,8 +30,8 @@
 //! sets (string-Jaccard oracles, pre-interning baselines) must construct
 //! the table with [`TokenTable::build_with_sets`].
 
-use crowder_text::{jaccard_ids, tokenize, DictBuilder, TokenDict, TokenSet};
-use crowder_types::{normalize_into, Dataset, Pair, Record, RecordId};
+use crowder_text::{jaccard_ids, tokenize, TokenDict, TokenSet};
+use crowder_types::{Dataset, Pair, Record, RecordId};
 
 /// Cached interned id lists (and, optionally, string token sets) for
 /// every record of a dataset, indexed by [`RecordId`].
@@ -80,27 +79,24 @@ impl TokenTable {
         Self::intern(dataset, |r| attrs.iter().filter_map(|&a| r.field(a)))
     }
 
-    /// The one interning pass behind every constructor: join each
-    /// record's selected `fields` with spaces and normalize them into
-    /// two reused buffers, then feed the tokens to a [`DictBuilder`].
+    /// The one interning pass behind every constructor: intern each
+    /// record's selected `fields`, then renumber the dictionary and the
+    /// id lists rarest-first.
     fn intern<'d, I>(dataset: &'d Dataset, fields: impl Fn(&'d Record) -> I) -> Self
     where
         I: Iterator<Item = &'d str>,
     {
-        let mut builder = DictBuilder::new();
-        let (mut text, mut norm) = (String::new(), String::new());
-        for record in dataset.records() {
-            text.clear();
-            for (i, field) in fields(record).enumerate() {
-                if i > 0 {
-                    text.push(' ');
-                }
-                text.push_str(field);
-            }
-            normalize_into(&text, &mut norm);
-            builder.push(norm.split_whitespace());
-        }
-        let (dict, ids) = builder.finish();
+        let mut dict = TokenDict::new();
+        let mut scratch = Vec::new();
+        let mut ids: Vec<Vec<u32>> = dataset
+            .records()
+            .iter()
+            .map(|record| {
+                dict.intern(fields(record), &mut scratch);
+                scratch.clone()
+            })
+            .collect();
+        dict.renumber_rarest_first(&mut ids);
         TokenTable {
             dict,
             ids,

@@ -621,13 +621,10 @@ impl DeltaIndex {
             if !self.alive[r] {
                 continue; // a deleted record holds no doc
             }
-            let doc = &mut self.docs[r];
-            doc.clear();
-            doc.extend(ids.iter().map(|&id| dict.rank(id)));
-            doc.sort_unstable();
+            self.docs[r] = dict.sorted_ranks(ids);
             // Ranks shifted with the epoch, so the signature is rebuilt
             // from the fresh rank list.
-            self.sigs[r] = BandSignature::build(doc);
+            self.sigs[r] = BandSignature::build(&self.docs[r]);
         }
         self.index_all();
     }
@@ -636,7 +633,6 @@ impl DeltaIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowder_text::tokenize;
     use crowder_types::{PairSpace, SourceId};
 
     fn feed(names: &[&str], threshold: f64) -> (Vec<ScoredPair>, JoinStats) {
@@ -649,9 +645,8 @@ mod tests {
             dataset
                 .push_record(SourceId(0), vec![name.to_string()])
                 .unwrap();
-            let ids = dict.encode_record(&tokenize(name));
-            let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-            doc.sort_unstable();
+            let ids = dict.encode_record([*name]);
+            let doc = dict.sorted_ranks(&ids);
             index.join_and_insert(&dataset, doc, &mut out, &mut stats);
         }
         (out, stats)
@@ -724,29 +719,26 @@ mod tests {
             dataset
                 .push_record(SourceId(0), vec![name.to_string()])
                 .unwrap();
-            let ids = dict.encode_record(&tokenize(name));
-            let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-            doc.sort_unstable();
+            let ids = dict.encode_record([*name]);
+            let doc = dict.sorted_ranks(&ids);
             index.join_and_insert(&dataset, doc, &mut out, &mut stats);
         }
         (dataset, dict, index)
     }
 
     fn rank_doc(dict: &mut StreamingDict, name: &str) -> Vec<u32> {
-        let ids = dict.encode_record(&tokenize(name));
-        let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-        doc.sort_unstable();
-        doc
+        let ids = dict.encode_record([name]);
+        dict.sorted_ranks(&ids)
     }
 
     #[test]
     fn probe_query_matches_what_an_arrival_would_surface() {
         let names = ["a b c d", "a b c e", "x y z", "a b"];
-        let (_dataset, dict, mut index) = feed_state(&names, 0.5);
+        let (_dataset, mut dict, mut index) = feed_state(&names, 0.5);
         // Query with record 0's exact content (as an outside query, not
         // an arrival): must match what arrival 0's own doc matches, over
         // the *current* corpus.
-        let qdoc = dict.encode_query(&tokenize("a b c d"));
+        let qdoc = dict.encode_query(["a b c d"]);
         let (mut matches, mut stats) = (Vec::new(), JoinStats::default());
         index.probe_query(0, &qdoc, &mut matches, &mut stats);
         assert_eq!(
@@ -759,7 +751,7 @@ mod tests {
         );
         // Unknown query tokens lengthen the query exactly like an
         // arrival's fresh tokens would.
-        let diluted = dict.encode_query(&tokenize("a b c d zz1 zz2 zz3 zz4 zz5"));
+        let diluted = dict.encode_query(["a b c d zz1 zz2 zz3 zz4 zz5"]);
         let (mut none, mut stats) = (Vec::new(), JoinStats::default());
         index.probe_query(0, &diluted, &mut none, &mut stats);
         assert!(
@@ -886,9 +878,8 @@ mod tests {
             dataset
                 .push_record(SourceId(0), vec![name.to_string()])
                 .unwrap();
-            let ids = dict.encode_record(&tokenize(name));
-            let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-            doc.sort_unstable();
+            let ids = dict.encode_record([name]);
+            let doc = dict.sorted_ranks(&ids);
             index.join_and_insert(dataset, doc, out, stats);
         };
         push(
@@ -952,10 +943,8 @@ mod tests {
         dict.rerank();
         let token_ids: Vec<Vec<u32>> = (0..dataset.len())
             .map(|r| {
-                let mut ids = dict.encode_record(&tokenize(&dataset.records()[r].joined_text()));
                 // encode_record bumps dfs; acceptable in a test.
-                ids.sort_unstable();
-                ids
+                dict.encode_record(dataset.records()[r].fields.iter().map(String::as_str))
             })
             .collect();
         index.rebuild(&dict, &token_ids);
@@ -1048,9 +1037,8 @@ mod tests {
             let (mut out, mut stats) = (Vec::new(), JoinStats::default());
             for _ in 0..400 {
                 let name: Vec<&str> = (0..1 + roll(6)).map(|_| WORDS[roll(WORDS.len())]).collect();
-                let ids = dict.encode_record(&tokenize(&name.join(" ")));
-                let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-                doc.sort_unstable();
+                let ids = dict.encode_record(name.iter().copied());
+                let doc = dict.sorted_ranks(&ids);
                 let alive: Vec<u32> = (0..index.len() as u32)
                     .filter(|&r| index.is_alive(RecordId(r)))
                     .collect();

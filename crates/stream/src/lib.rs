@@ -11,12 +11,15 @@
 //! ## Component map (paper / related-work sources)
 //!
 //! * [`StreamingDict`] — the corpus token order behind prefix filtering.
-//!   Batch CrowdER interns tokens once in ascending document-frequency
-//!   order (§7.1's token sets + the classic rarest-first prefix order of
-//!   Chaudhuri et al. 2006 / Bayardo et al. 2007). Streaming splits
-//!   stable token *ids* from mutable *ranks*: unseen tokens intern on
-//!   the fly into a reserved low-rank band (a fresh token has df 1 — the
-//!   rarest thing in the corpus), and an epoch-based
+//!   Both engines turn record fields into token ids through one
+//!   [`TokenDict`](crowder_text::TokenDict) (§7.1's token sets, one map
+//!   lookup per token occurrence). Batch CrowdER renumbers it once in
+//!   ascending document-frequency order (the classic rarest-first
+//!   prefix order of Chaudhuri et al. 2006 / Bayardo et al. 2007).
+//!   Streaming keeps only what is stream-specific on top: stable token
+//!   *ids* split from mutable *ranks*. Unseen tokens intern on the fly
+//!   into a reserved low-rank band (a fresh token has df 1 — the rarest
+//!   thing in the corpus), and an epoch-based
 //!   [`rerank`](StreamingDict::rerank) periodically restores the exact
 //!   df order as frequencies drift. Filter *correctness* needs only one
 //!   consistent total order, so rank staleness costs selectivity, never

@@ -56,7 +56,6 @@
 use crowder_graph::{DynamicConnectivity, EdgeCut, EdgeLink};
 use crowder_hitgen::{ClusterGenerator, Hit, TwoTieredGenerator};
 use crowder_simjoin::JoinStats;
-use crowder_text::tokenize;
 use crowder_types::{Dataset, Error, Pair, PairSpace, RecordId, ScoredPair, SourceId};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -288,10 +287,9 @@ impl IncrementalResolver {
     ) -> crowder_types::Result<InsertReport> {
         let _timer = crowder_obs::span_light!("stream.resolver.insert_ns");
         let record = self.dataset.push_record(source, fields)?;
-        let set = tokenize(&self.dataset.record(record)?.joined_text());
-        let ids = self.dict.encode_record(&set);
-        let mut doc: Vec<u32> = ids.iter().map(|&id| self.dict.rank(id)).collect();
-        doc.sort_unstable();
+        let fields = &self.dataset.record(record)?.fields;
+        let ids = self.dict.encode_record(fields.iter().map(String::as_str));
+        let doc = self.dict.sorted_ranks(&ids);
 
         let mut new_pairs = Vec::new();
         let mut stats = JoinStats::default();
@@ -364,8 +362,7 @@ impl IncrementalResolver {
                 self.dataset.schema.len()
             )));
         }
-        let set = tokenize(&fields.join(" "));
-        let doc = self.dict.encode_query(&set);
+        let doc = self.dict.encode_query(fields.iter().map(String::as_str));
         let mut found = Vec::new();
         if let Some((_, probed)) = self.dataset.pair_space.sides(source) {
             let mut stats = JoinStats::default();
@@ -466,10 +463,9 @@ impl IncrementalResolver {
             .collect();
         // Schema validation happens before any other mutation.
         self.dataset.set_fields(record, fields)?;
-        let set = tokenize(&self.dataset.record(record)?.joined_text());
-        let ids = self.dict.encode_record(&set);
-        let mut doc: Vec<u32> = ids.iter().map(|&id| self.dict.rank(id)).collect();
-        doc.sort_unstable();
+        let fields = &self.dataset.record(record)?.fields;
+        let ids = self.dict.encode_record(fields.iter().map(String::as_str));
+        let doc = self.dict.sorted_ranks(&ids);
         let mut new_pairs = Vec::new();
         let mut stats = JoinStats::default();
         self.index
@@ -1018,21 +1014,18 @@ impl IncrementalResolver {
                 dataset.len()
             )));
         }
-        let dict =
+        let mut dict =
             StreamingDict::from_parts(dict_tokens, dict_dfs, dict_ranks, dict_fresh, dict_epochs)?;
         let mut token_ids = Vec::with_capacity(dataset.len());
         for record in dataset.records() {
-            let set = tokenize(&record.joined_text());
-            let mut ids = Vec::with_capacity(set.len());
-            for token in set.tokens() {
-                ids.push(dict.id(token).ok_or_else(|| {
+            let ids = dict
+                .known_ids(record.fields.iter().map(String::as_str))
+                .map_err(|token| {
                     Error::InvalidData(format!(
                         "state import: token `{token}` of {} missing from the dictionary",
                         record.id
                     ))
-                })?);
-            }
-            ids.sort_unstable();
+                })?;
             token_ids.push(ids);
         }
         let docs: Vec<Vec<u32>> = token_ids
@@ -1040,9 +1033,7 @@ impl IncrementalResolver {
             .zip(&alive)
             .map(|(ids, &live)| {
                 if live {
-                    let mut doc: Vec<u32> = ids.iter().map(|&id| dict.rank(id)).collect();
-                    doc.sort_unstable();
-                    doc
+                    dict.sorted_ranks(ids)
                 } else {
                     Vec::new()
                 }

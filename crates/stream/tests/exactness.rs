@@ -11,6 +11,7 @@ mod common;
 use crowder_datagen::{restaurant, RestaurantConfig};
 use crowder_simjoin::{prefix_join, TokenTable};
 use crowder_stream::{HitDelta, IncrementalResolver, StreamConfig};
+use crowder_text::{jaccard, tokenize};
 use crowder_types::{Dataset, Pair, PairSpace, RecordId, ScoredPair, SourceId};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -501,6 +502,143 @@ proptest! {
         }
         let delta = resolver.regenerate_hits().unwrap();
         check_flush(&resolver, &listed, &delta)?;
+    }
+}
+
+/// Field text the other generators never draw: empty and
+/// punctuation-only fields, separator runs, and non-ASCII case folding
+/// (`İ` lowercases to two chars, `ẞ` to `ß`, while `STRASSE` and
+/// `straße` stay distinct tokens).
+const HOSTILE: [&str; 22] = [
+    "",
+    "!!",
+    "--  --",
+    " \t\n ",
+    ",;.",
+    "İ",
+    "i̇",
+    "I",
+    "Café",
+    "CAFÉ",
+    "café!",
+    "cafe",
+    "STRASSE",
+    "straße",
+    "STRAẞE",
+    "Straße,,strasse",
+    "a",
+    "A",
+    "a,a;A",
+    "ÅNGSTRÖM",
+    "x—y",
+    "٤٢",
+];
+
+/// Every surfaced pair scores the string oracle's Jaccard over
+/// `tokenize(joined_text)`, and every live pair of the pair space the
+/// oracle puts clearly at or above `threshold` is surfaced.
+fn pairs_match_string_oracle(
+    resolver: &IncrementalResolver,
+    threshold: f64,
+) -> Result<(), TestCaseError> {
+    let dataset = resolver.dataset();
+    let sets: Vec<_> = dataset
+        .records()
+        .iter()
+        .map(|r| tokenize(&r.joined_text()))
+        .collect();
+    let surfaced: HashSet<Pair> = resolver.pairs().iter().map(|sp| sp.pair).collect();
+    for sp in resolver.pairs() {
+        let (a, b) = (sp.pair.lo().index(), sp.pair.hi().index());
+        prop_assert_eq!(sp.likelihood, jaccard(&sets[a], &sets[b]), "{}", sp.pair);
+    }
+    for b in 0..sets.len() {
+        for a in 0..b {
+            let pair = Pair::of(a as u32, b as u32);
+            let candidate = resolver.is_alive(pair.lo())
+                && resolver.is_alive(pair.hi())
+                && dataset.is_candidate(&pair);
+            if candidate && jaccard(&sets[a], &sets[b]) >= threshold + 1e-9 {
+                prop_assert!(surfaced.contains(&pair), "missing {}", pair);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Streaming ≡ batch ≡ the string oracle over hostile field text,
+    /// through `insert`, `update`, `remove`, `query` and forced
+    /// re-ranks, and across an `export_state` → `import_state` round
+    /// trip that must preserve the future.
+    #[test]
+    fn hostile_field_text_matches_batch_and_the_string_oracle(
+        records in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0..HOSTILE.len(), 0..4), 2),
+            6..20,
+        ),
+        seed in 0u64..=1_000_000,
+        thr in 0.1f64..=0.9,
+        space in 0usize..SPACES.len(),
+    ) {
+        let fields: Vec<Vec<String>> = records
+            .iter()
+            .map(|picks| {
+                picks
+                    .iter()
+                    .map(|p| p.iter().map(|&i| HOSTILE[i]).collect::<Vec<_>>().join(" "))
+                    .collect()
+            })
+            .collect();
+        let mut resolver = IncrementalResolver::new(
+            "t",
+            vec!["name".into(), "city".into()],
+            SPACES[space],
+            StreamConfig { threshold: thr, rebuild_min_interval: 5, ..StreamConfig::default() },
+        );
+        let mut state = seed | 1;
+        let mut roll = |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let mut alive: Vec<RecordId> = Vec::new();
+        for f in &fields {
+            match roll(8) {
+                0 if !alive.is_empty() => {
+                    let target = alive[roll(alive.len())];
+                    resolver.update(target, f.clone()).unwrap();
+                }
+                1 if !alive.is_empty() => {
+                    resolver.remove(alive.swap_remove(roll(alive.len()))).unwrap();
+                }
+                2 => resolver.rerank_now(),
+                _ => {
+                    let source = SourceId(roll(3) as u8);
+                    alive.push(resolver.insert(source, f.clone()).unwrap().record);
+                }
+            }
+            queries_match_inserts(&mut resolver, f)?;
+            live_pairs_match_batch(&resolver, thr)?;
+            pairs_match_string_oracle(&resolver, thr)?;
+        }
+        resolver.regenerate_hits().unwrap();
+        let exported = resolver.export_state().unwrap();
+        let mut replica =
+            IncrementalResolver::import_state(resolver.config().clone(), exported.clone()).unwrap();
+        prop_assert_eq!(&replica.export_state().unwrap(), &exported);
+        for f in fields.iter().rev().take(3) {
+            let source = SourceId(roll(3) as u8);
+            resolver.insert(source, f.clone()).unwrap();
+            replica.insert(source, f.clone()).unwrap();
+            queries_match_inserts(&mut replica, f)?;
+        }
+        resolver.regenerate_hits().unwrap();
+        replica.regenerate_hits().unwrap();
+        prop_assert_eq!(resolver.export_state().unwrap(), replica.export_state().unwrap());
+        live_pairs_match_batch(&replica, thr)?;
+        pairs_match_string_oracle(&replica, thr)?;
     }
 }
 

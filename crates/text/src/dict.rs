@@ -1,54 +1,152 @@
-//! Interned token dictionaries.
+//! The token dictionary: the one place record fields become token ids.
 //!
-//! The similarity-join hot path compares token sets millions of times
-//! (1.18M candidate pairs on the paper's Product dataset). Comparing
-//! `String`s there wastes the inner merge loop on byte-wise compares and
-//! pointer chasing; a [`TokenDict`] interns every distinct corpus token
-//! to a dense `u32` id once, so the per-pair work becomes integer slice
-//! merging.
+//! §7.1 of the paper builds one token set per record *"from all
+//! attribute values"* and scores pairs by Jaccard over those sets. The
+//! similarity-join hot paths compare such sets millions of times, so
+//! they work on dense `u32` ids instead of `String`s, and both engines
+//! get those ids from one [`TokenDict`]:
 //!
-//! Ids are assigned in **ascending corpus frequency** order (ties broken
-//! lexicographically): id 0 is the rarest token. Sorting a record's id
-//! list ascending therefore puts its rarest tokens first — exactly the
-//! ordering prefix filtering wants, because a rare leading token makes
-//! the record's prefix maximally selective (few other records share it).
-//! The dictionary is built once per corpus and amortized across every
-//! join call, instead of being re-derived per call.
+//! * [`TokenDict::intern`] joins a record's fields with spaces,
+//!   normalizes them into two reused buffers and looks each token
+//!   occurrence up once in the string → id map. Tokens the map has not
+//!   seen get the next ids **in ascending token order**, deduplicated,
+//!   and every distinct token of the record gains one document
+//!   frequency. `String`s are allocated only for distinct tokens.
+//! * [`TokenDict::lookup`] runs the same scan without interning: the
+//!   ids of the known tokens, and the distinct unseen tokens.
+//! * [`TokenDict::rarest_first`] is the single `(document frequency,
+//!   token)` ordering. Sorting a record's ids by it puts its rarest
+//!   tokens first — exactly the global order prefix filtering wants,
+//!   because a rare leading token makes the record's prefix maximally
+//!   selective.
 //!
-//! Every dictionary is built by one routine, [`DictBuilder`]: one map
-//! lookup per token occurrence, `String`s allocated only for distinct
-//! tokens, document frequencies counted on integer ids, and one sort of
-//! the distinct tokens at the end.
+//! The batch engine interns a frozen corpus and then renumbers once
+//! ([`TokenDict::renumber_rarest_first`]), so id 0 is the rarest token
+//! and a record's ascending id list is already rarest-first. The
+//! streaming engine keeps the first-sight ids as stable names and
+//! re-ranks them by [`TokenDict::rarest_first`] in epochs.
 
-use crate::tokenize::TokenSet;
+use crowder_types::{normalize_into, Error, Result};
 use std::collections::HashMap;
 
-/// A corpus-wide token ↔ id interning table, frequency-ordered.
+/// A growable token ↔ id table with document frequencies.
+///
+/// The map uses std's hasher: corpora can come from outside the
+/// program.
 #[derive(Debug, Clone, Default)]
 pub struct TokenDict {
     ids: HashMap<String, u32>,
     tokens: Vec<String>,
+    /// Document frequency per id (records containing the token).
     freqs: Vec<u32>,
+    /// The record's fields joined with spaces, reused across records.
+    text: String,
+    /// `text` normalized, reused across records.
+    norm: String,
 }
 
 impl TokenDict {
-    /// Build a dictionary over the distinct tokens of `sets`, assigning
-    /// ids by ascending `(corpus frequency, token)`.
-    ///
-    /// Frequency counts each *set* containing the token once (document
-    /// frequency), matching what prefix selectivity cares about.
-    pub fn build<'a, I>(sets: I) -> Self
-    where
-        I: IntoIterator<Item = &'a TokenSet>,
-    {
-        let mut builder = DictBuilder::new();
-        for set in sets {
-            builder.push(set.tokens().iter().map(String::as_str));
-        }
-        builder.finish().0
+    /// An empty dictionary.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Id of `token`, if it occurred in the corpus.
+    /// Rebuild a dictionary from its tokens in id order and their
+    /// document frequencies. Rejects arrays of different lengths and a
+    /// repeated token, so corrupted input cannot alias two ids.
+    pub fn from_parts(tokens: Vec<String>, freqs: Vec<u32>) -> Result<Self> {
+        if freqs.len() != tokens.len() {
+            return Err(Error::InvalidData(format!(
+                "dictionary import: {} tokens, {} dfs",
+                tokens.len(),
+                freqs.len()
+            )));
+        }
+        let mut ids = HashMap::with_capacity(tokens.len());
+        for (id, token) in tokens.iter().enumerate() {
+            if ids.insert(token.clone(), id as u32).is_some() {
+                return Err(Error::InvalidData(format!(
+                    "dictionary import: duplicate token `{token}`"
+                )));
+            }
+        }
+        Ok(TokenDict {
+            ids,
+            tokens,
+            freqs,
+            ..Self::default()
+        })
+    }
+
+    /// Intern one record: write its distinct token ids, ascending, into
+    /// `ids`, and count the record once toward each token's document
+    /// frequency. Unseen tokens take the next ids in ascending token
+    /// order, so they sort after every known id.
+    pub fn intern<'f>(&mut self, fields: impl IntoIterator<Item = &'f str>, ids: &mut Vec<u32>) {
+        let unseen = scan(&self.ids, &mut self.text, &mut self.norm, fields, ids);
+        for token in unseen {
+            let id = self.tokens.len() as u32;
+            self.ids.insert(token.to_owned(), id);
+            self.tokens.push(token.to_owned());
+            self.freqs.push(0);
+            ids.push(id);
+        }
+        for &id in ids.iter() {
+            self.freqs[id as usize] += 1;
+        }
+    }
+
+    /// Scan one record without interning: write the distinct ids of its
+    /// known tokens, ascending, into `known`, and return its distinct
+    /// unseen tokens, ascending. Only the reused buffers change.
+    pub fn lookup<'f>(
+        &mut self,
+        fields: impl IntoIterator<Item = &'f str>,
+        known: &mut Vec<u32>,
+    ) -> Vec<&str> {
+        scan(&self.ids, &mut self.text, &mut self.norm, fields, known)
+    }
+
+    /// Every id, by ascending `(document frequency, token)`: rarest
+    /// first, ties broken lexicographically.
+    pub fn rarest_first(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.tokens.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            self.freqs[a]
+                .cmp(&self.freqs[b])
+                .then_with(|| self.tokens[a].cmp(&self.tokens[b]))
+        });
+        order
+    }
+
+    /// Renumber every token to its position in
+    /// [`TokenDict::rarest_first`], so id 0 is the rarest token, and
+    /// re-encode `lists` (id lists interned before) to the new ids,
+    /// each sorted ascending again.
+    pub fn renumber_rarest_first(&mut self, lists: &mut [Vec<u32>]) {
+        let order = self.rarest_first();
+        let mut new_id = vec![0u32; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            new_id[old as usize] = new as u32;
+        }
+        for id in self.ids.values_mut() {
+            *id = new_id[*id as usize];
+        }
+        self.tokens = order
+            .iter()
+            .map(|&old| std::mem::take(&mut self.tokens[old as usize]))
+            .collect();
+        self.freqs = order.iter().map(|&old| self.freqs[old as usize]).collect();
+        for list in lists {
+            for id in list.iter_mut() {
+                *id = new_id[*id as usize];
+            }
+            list.sort_unstable();
+        }
+    }
+
+    /// Id of `token`, if interned.
     #[inline]
     pub fn id(&self, token: &str) -> Option<u32> {
         self.ids.get(token).copied()
@@ -60,10 +158,22 @@ impl TokenDict {
         &self.tokens[id as usize]
     }
 
-    /// Corpus (document) frequency of `id`.
+    /// Document frequency of `id`.
     #[inline]
     pub fn frequency(&self, id: u32) -> u32 {
         self.freqs[id as usize]
+    }
+
+    /// Every token, in id order.
+    #[inline]
+    pub fn tokens(&self) -> &[String] {
+        &self.tokens
+    }
+
+    /// Every document frequency, in id order.
+    #[inline]
+    pub fn frequencies(&self) -> &[u32] {
+        &self.freqs
     }
 
     /// Number of distinct tokens interned.
@@ -77,111 +187,40 @@ impl TokenDict {
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
-
-    /// Encode a token set as a sorted (ascending-id, i.e. rarest-first)
-    /// id list. Tokens absent from the dictionary are skipped — they
-    /// cannot contribute to any within-corpus overlap.
-    pub fn encode(&self, set: &TokenSet) -> Vec<u32> {
-        let mut ids: Vec<u32> = set.tokens().iter().filter_map(|t| self.id(t)).collect();
-        ids.sort_unstable();
-        ids
-    }
 }
 
-/// One-pass interning of a document collection into a [`TokenDict`]
-/// and per-document id lists.
-///
-/// [`DictBuilder::push`] looks each token occurrence up once in a
-/// `HashMap` keyed by the token string (std's hasher: corpora can come
-/// from outside the program), allocating a `String` only for a token
-/// not seen before, and keeps the document as provisional
-/// first-appearance ids, deduplicated and counted toward document
-/// frequency on integers. [`DictBuilder::finish`] sorts the distinct
-/// tokens once by `(document frequency, token)` and remaps every
-/// document to the final rarest-first ids.
-#[derive(Debug, Clone, Default)]
-pub struct DictBuilder {
-    ids: HashMap<String, u32>,
-    freqs: Vec<u32>,
-    docs: Vec<Vec<u32>>,
-    /// The document being pushed, reused so each stored list is
-    /// allocated once at its deduplicated length.
-    scratch: Vec<u32>,
-}
-
-impl DictBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
+/// The scan behind [`TokenDict::intern`] and [`TokenDict::lookup`]:
+/// join `fields` into `text`, normalize into `norm`, and look each token
+/// occurrence up once. Known ids land in `known`, sorted and
+/// deduplicated; the unseen tokens come back sorted and deduplicated.
+fn scan<'f, 'n>(
+    ids: &HashMap<String, u32>,
+    text: &mut String,
+    norm: &'n mut String,
+    fields: impl IntoIterator<Item = &'f str>,
+    known: &mut Vec<u32>,
+) -> Vec<&'n str> {
+    text.clear();
+    for (i, field) in fields.into_iter().enumerate() {
+        if i > 0 {
+            text.push(' ');
+        }
+        text.push_str(field);
     }
-
-    /// Add one document: its tokens in any order, repeats allowed.
-    pub fn push<'t>(&mut self, tokens: impl IntoIterator<Item = &'t str>) {
-        let doc = &mut self.scratch;
-        doc.clear();
-        for tok in tokens {
-            doc.push(match self.ids.get(tok) {
-                Some(&id) => id,
-                None => {
-                    let id = self.freqs.len() as u32;
-                    self.ids.insert(tok.to_owned(), id);
-                    self.freqs.push(0);
-                    id
-                }
-            });
+    normalize_into(text, norm);
+    known.clear();
+    let mut unseen = Vec::new();
+    for token in norm.split_whitespace() {
+        match ids.get(token) {
+            Some(&id) => known.push(id),
+            None => unseen.push(token),
         }
-        doc.sort_unstable();
-        doc.dedup();
-        for &id in doc.iter() {
-            self.freqs[id as usize] += 1;
-        }
-        self.docs.push(doc.clone());
     }
-
-    /// The dictionary, with ids by ascending `(document frequency,
-    /// token)`, and every pushed document's ascending (rarest-first) id
-    /// list, in push order.
-    pub fn finish(self) -> (TokenDict, Vec<Vec<u32>>) {
-        let DictBuilder {
-            mut ids,
-            freqs,
-            mut docs,
-            ..
-        } = self;
-        let mut tokens = vec![String::new(); freqs.len()];
-        for (tok, &id) in &ids {
-            tokens[id as usize] = tok.clone();
-        }
-        let mut order: Vec<u32> = (0..freqs.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            freqs[a]
-                .cmp(&freqs[b])
-                .then_with(|| tokens[a].cmp(&tokens[b]))
-        });
-        let mut rank = vec![0u32; order.len()];
-        for (new, &old) in order.iter().enumerate() {
-            rank[old as usize] = new as u32;
-        }
-        for id in ids.values_mut() {
-            *id = rank[*id as usize];
-        }
-        for doc in &mut docs {
-            for id in doc.iter_mut() {
-                *id = rank[*id as usize];
-            }
-            doc.sort_unstable();
-        }
-        let dict = TokenDict {
-            ids,
-            tokens: order
-                .iter()
-                .map(|&old| std::mem::take(&mut tokens[old as usize]))
-                .collect(),
-            freqs: order.iter().map(|&old| freqs[old as usize]).collect(),
-        };
-        (dict, docs)
-    }
+    known.sort_unstable();
+    known.dedup();
+    unseen.sort_unstable();
+    unseen.dedup();
+    unseen
 }
 
 #[cfg(test)]
@@ -189,18 +228,28 @@ mod tests {
     use super::*;
     use crate::tokenize::tokenize;
 
-    fn corpus() -> Vec<TokenSet> {
-        vec![
-            tokenize("apple ipod shuffle"),
-            tokenize("apple ipod nano"),
-            tokenize("apple ipad"),
-        ]
+    const CORPUS: [&str; 3] = ["apple ipod shuffle", "apple ipod nano", "apple ipad"];
+
+    /// Interns `records` (one field each) and renumbers rarest-first,
+    /// as the batch engine does; returns the dictionary and each
+    /// record's ascending id list.
+    fn build(records: &[&str]) -> (TokenDict, Vec<Vec<u32>>) {
+        let mut dict = TokenDict::new();
+        let mut ids = Vec::new();
+        let mut docs: Vec<Vec<u32>> = records
+            .iter()
+            .map(|r| {
+                dict.intern([*r], &mut ids);
+                ids.clone()
+            })
+            .collect();
+        dict.renumber_rarest_first(&mut docs);
+        (dict, docs)
     }
 
     #[test]
     fn ids_are_frequency_ordered_rarest_first() {
-        let sets = corpus();
-        let dict = TokenDict::build(&sets);
+        let (dict, _) = build(&CORPUS);
         assert_eq!(dict.len(), 5);
         // apple: 3, ipod: 2, rest: 1 each (lexicographic among ties).
         assert_eq!(dict.token(dict.len() as u32 - 1), "apple");
@@ -218,19 +267,27 @@ mod tests {
 
     #[test]
     fn encode_is_sorted_and_skips_unknown() {
-        let sets = corpus();
-        let dict = TokenDict::build(&sets);
-        let ids = dict.encode(&sets[0]);
-        assert_eq!(ids.len(), 3);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        let foreign = tokenize("apple zzz-unseen");
-        assert_eq!(dict.encode(&foreign), vec![dict.id("apple").unwrap()]);
+        let (mut dict, docs) = build(&CORPUS);
+        let mut known = Vec::new();
+        assert!(dict.lookup([CORPUS[0]], &mut known).is_empty());
+        assert_eq!(known, docs[0]);
+        assert!(known.windows(2).all(|w| w[0] < w[1]));
+        let apple = dict.id("apple").unwrap();
+        let unseen: Vec<String> = dict
+            .lookup(["zzz-Unseen apple zzz"], &mut known)
+            .into_iter()
+            .map(String::from)
+            .collect();
+        assert_eq!(known, vec![apple]);
+        assert_eq!(unseen, ["unseen", "zzz"]);
+        // A lookup interns nothing.
+        assert_eq!(dict.len(), 5);
+        assert_eq!(dict.frequency(apple), 3);
     }
 
     #[test]
     fn roundtrip_token_id() {
-        let sets = corpus();
-        let dict = TokenDict::build(&sets);
+        let (dict, _) = build(&CORPUS);
         for id in 0..dict.len() as u32 {
             assert_eq!(dict.id(dict.token(id)), Some(id));
         }
@@ -239,31 +296,70 @@ mod tests {
 
     #[test]
     fn builder_lists_match_encode() {
-        let mut builder = DictBuilder::new();
-        builder.push(["ipod", "apple", "shuffle", "apple"]);
-        builder.push([]);
-        builder.push(["nano", "ipod", "apple"]);
-        builder.push(["ipad", "apple"]);
-        let (dict, docs) = builder.finish();
-        let sets = [
-            tokenize("apple ipod shuffle"),
-            tokenize(""),
-            tokenize("apple ipod nano"),
-            tokenize("apple ipad"),
+        let records = [
+            "ipod Apple shuffle apple",
+            "",
+            "nano ipod APPLE",
+            "ipad, apple",
         ];
-        let reference = TokenDict::build(&sets);
-        assert_eq!(dict.tokens, reference.tokens);
-        assert_eq!(dict.freqs, reference.freqs);
-        for (doc, set) in docs.iter().zip(&sets) {
-            assert_eq!(doc, &dict.encode(set));
+        let (mut dict, docs) = build(&records);
+        let sets: Vec<_> = records.iter().map(|r| tokenize(r)).collect();
+        let mut known = Vec::new();
+        for ((record, doc), set) in records.iter().zip(&docs).zip(&sets) {
+            assert!(dict.lookup([*record], &mut known).is_empty());
+            assert_eq!(&known, doc);
+            let tokens: Vec<&str> = doc.iter().map(|&id| dict.token(id)).collect();
+            let mut sorted = tokens.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, set.tokens(), "the string path's token set");
         }
+        // Document frequency counts records, not occurrences.
+        assert_eq!(dict.frequency(dict.id("apple").unwrap()), 3);
+    }
+
+    #[test]
+    fn unseen_tokens_take_ids_in_ascending_token_order() {
+        // Field order, repeats, case and punctuation do not move ids:
+        // the record's distinct unseen tokens are numbered in order.
+        for fields in [["B, b", "a"], ["a", "b B"], ["A...b", "  "], ["", "b;a;B"]] {
+            let mut dict = TokenDict::new();
+            let mut ids = Vec::new();
+            dict.intern(["m"], &mut ids);
+            dict.intern(fields, &mut ids);
+            assert_eq!(ids, vec![1, 2], "{fields:?}");
+            assert_eq!((dict.token(1), dict.token(2)), ("a", "b"), "{fields:?}");
+            assert_eq!((dict.frequency(1), dict.frequency(2)), (1, 1));
+        }
+        // Known tokens keep their ids and sort before the new ones.
+        let mut dict = TokenDict::new();
+        let mut ids = Vec::new();
+        dict.intern(["z y"], &mut ids);
+        dict.intern(["Z, c", "b z"], &mut ids);
+        assert_eq!(ids, vec![dict.id("z").unwrap(), 2, 3]);
+        assert_eq!((dict.token(2), dict.token(3)), ("b", "c"));
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_rejects_corruption() {
+        let (dict, _) = build(&CORPUS);
+        let back =
+            TokenDict::from_parts(dict.tokens().to_vec(), dict.frequencies().to_vec()).unwrap();
+        for id in 0..dict.len() as u32 {
+            assert_eq!(back.id(dict.token(id)), Some(id));
+            assert_eq!(back.frequency(id), dict.frequency(id));
+        }
+        assert!(TokenDict::from_parts(vec!["a".into()], vec![]).is_err());
+        assert!(TokenDict::from_parts(vec!["a".into(), "a".into()], vec![1, 1]).is_err());
     }
 
     #[test]
     fn empty_corpus() {
-        let dict = TokenDict::build(std::iter::empty());
+        let (mut dict, docs) = build(&[]);
         assert!(dict.is_empty());
         assert_eq!(dict.len(), 0);
-        assert_eq!(dict.encode(&tokenize("a b")), Vec::<u32>::new());
+        assert!(docs.is_empty());
+        let mut known = vec![7];
+        assert_eq!(dict.lookup(["a b"], &mut known), ["a", "b"]);
+        assert!(known.is_empty());
     }
 }

@@ -109,14 +109,22 @@ mod tests {
     #[test]
     fn id_jaccard_agrees_with_string_jaccard() {
         use crate::dict::TokenDict;
-        let sets = [
-            tokenize("iPad Two 16GB WiFi White"),
-            tokenize("iPad 2nd generation 16GB WiFi White"),
-            tokenize("Apple iPod shuffle 2GB Blue"),
-            tokenize(""),
+        let texts = [
+            "iPad Two 16GB WiFi White",
+            "iPad 2nd generation 16GB WiFi White",
+            "Apple iPod shuffle 2GB Blue",
+            "",
         ];
-        let dict = TokenDict::build(&sets);
-        let ids: Vec<Vec<u32>> = sets.iter().map(|s| dict.encode(s)).collect();
+        let sets: Vec<TokenSet> = texts.iter().map(|t| tokenize(t)).collect();
+        let mut dict = TokenDict::new();
+        let ids: Vec<Vec<u32>> = texts
+            .iter()
+            .map(|t| {
+                let mut ids = Vec::new();
+                dict.intern([*t], &mut ids);
+                ids
+            })
+            .collect();
         for i in 0..sets.len() {
             for j in 0..sets.len() {
                 assert_eq!(

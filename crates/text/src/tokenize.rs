@@ -92,46 +92,6 @@ pub fn tokenize(text: &str) -> TokenSet {
     TokenSet::from_tokens(normalize(text).split_whitespace())
 }
 
-/// Character q-grams of the normalized text (with `q-1` padding `#`
-/// sentinels), used by the q-gram blocking index the paper references in
-/// §2.2 footnote 1.
-///
-/// Returns the *distinct* q-grams, sorted.
-pub fn qgrams(text: &str, q: usize) -> Vec<String> {
-    assert!(q >= 1, "q-gram size must be at least 1");
-    let norm = normalize(text);
-    if norm.is_empty() {
-        return Vec::new();
-    }
-    // One padded buffer; windows are `&str` slices over it, so only the
-    // *distinct* grams surviving dedup allocate.
-    let mut padded = String::with_capacity(norm.len() + 2 * (q - 1));
-    for _ in 0..q - 1 {
-        padded.push('#');
-    }
-    padded.push_str(&norm);
-    for _ in 0..q - 1 {
-        padded.push('#');
-    }
-    // Byte offsets of every char boundary (including the end), so a
-    // window of q chars is the slice between boundaries i and i + q.
-    let bounds: Vec<usize> = padded
-        .char_indices()
-        .map(|(i, _)| i)
-        .chain(std::iter::once(padded.len()))
-        .collect();
-    let n_chars = bounds.len() - 1;
-    if n_chars < q {
-        return Vec::new();
-    }
-    let mut windows: Vec<&str> = (0..=n_chars - q)
-        .map(|i| &padded[bounds[i]..bounds[i + q]])
-        .collect();
-    windows.sort_unstable();
-    windows.dedup();
-    windows.into_iter().map(str::to_string).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,19 +135,5 @@ mod tests {
         let b = tokenize("c d e");
         assert_eq!(a.intersection_size(&b), b.intersection_size(&a));
         assert_eq!(a.union_size(&b), b.union_size(&a));
-    }
-
-    #[test]
-    fn qgrams_basic() {
-        let g = qgrams("ab", 2);
-        // padded: #ab# -> {#a, ab, b#}
-        assert_eq!(g, vec!["#a".to_string(), "ab".into(), "b#".into()]);
-        assert!(qgrams("", 3).is_empty());
-    }
-
-    #[test]
-    fn qgrams_q1_is_distinct_chars() {
-        let g = qgrams("aba", 1);
-        assert_eq!(g, vec!["a".to_string(), "b".into()]);
     }
 }

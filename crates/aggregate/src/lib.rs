@@ -11,7 +11,9 @@
 //! * [`majority_vote`] — the baseline: fraction of YES votes per pair,
 //! * [`DawidSkene`] — full EM: alternately estimate per-worker
 //!   sensitivity/specificity and per-pair match posteriors; spammers'
-//!   votes are automatically down-weighted.
+//!   votes are automatically down-weighted. Pairs answered alike share
+//!   a posterior, so EM runs once per distinct vote pattern, weighted
+//!   by how many pairs share it.
 //!
 //! Output in both cases is a ranked list of [`ScoredPair`](crowder_types::ScoredPair)s (likelihood =
 //! posterior / vote share) feeding the precision–recall machinery.

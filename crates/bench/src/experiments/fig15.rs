@@ -16,11 +16,16 @@ fn quality_curve(dataset: &Dataset, hits: &[Hit], qt: bool, seed: u64) -> Option
     let pool = harness::worker_pool(harness::CROWD_SEED);
     let config = harness::crowd_config(seed, qt);
     let outcome = simulate(hits, &dataset.gold, &pool, &config).ok()?;
-    let votes: Vec<Vote> = outcome
-        .labeled_triples()
-        .into_iter()
-        .map(|(pair, worker, verdict)| (pair, worker.0 as usize, verdict))
-        .collect();
+    let n_votes = outcome
+        .assignments
+        .iter()
+        .map(|a| a.answer.verdicts.len())
+        .sum();
+    let mut votes: Vec<Vote> = Vec::with_capacity(n_votes);
+    for a in &outcome.assignments {
+        let worker = a.worker.0 as usize;
+        votes.extend(a.answer.verdicts.iter().map(|&(pair, v)| (pair, worker, v)));
+    }
     let ranked = DawidSkene::default().run(&votes).ok()?.ranked;
     Some(pr_curve(&ranked, &dataset.gold))
 }

@@ -153,11 +153,16 @@ pub(crate) fn run_stages(
     let sim = simulate(&hits, &dataset.gold, population, &config.crowd)?;
 
     // Stage 4: aggregate into the final ranked list.
-    let votes: Vec<Vote> = sim
-        .labeled_triples()
-        .into_iter()
-        .map(|(pair, worker, verdict)| (pair, worker.0 as usize, verdict))
-        .collect();
+    let n_votes = sim
+        .assignments
+        .iter()
+        .map(|a| a.answer.verdicts.len())
+        .sum();
+    let mut votes: Vec<Vote> = Vec::with_capacity(n_votes);
+    for a in &sim.assignments {
+        let worker = a.worker.0 as usize;
+        votes.extend(a.answer.verdicts.iter().map(|&(pair, v)| (pair, worker, v)));
+    }
     let ranked = config.aggregation.rank(&votes)?;
 
     Ok(HybridOutcome {

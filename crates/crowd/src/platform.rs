@@ -148,7 +148,7 @@ impl SimOutcome {
 /// used for both a session's completed work and carried-over in-flight
 /// assignments.
 pub fn labeled_triples_of(assignments: &[AssignmentRecord]) -> Vec<(Pair, WorkerId, bool)> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(assignments.iter().map(|a| a.answer.verdicts.len()).sum());
     for a in assignments {
         for &(pair, verdict) in &a.answer.verdicts {
             out.push((pair, a.worker, verdict));

@@ -1,16 +1,26 @@
-//! CRC-32 (IEEE 802.3, the zlib/gzip polynomial), table-driven.
+//! CRC-32 (IEEE 802.3, the zlib/gzip polynomial), slicing-by-8.
 //!
 //! Guards every WAL frame and snapshot payload against torn writes
 //! and bit rot. The polynomial choice is conventional, not
 //! cryptographic: a CRC detects accidental corruption (any burst
 //! error up to 32 bits, all single-bit flips), which is exactly the
 //! failure model of a crashed disk write.
+//!
+//! Slicing-by-8 folds eight input bytes per step through eight
+//! 256-entry tables: `TABLES[k][b]` is the CRC contribution of byte
+//! `b` followed by `k` zero bytes, so the eight lookups of one step are
+//! independent and the loop runs about four times faster than the
+//! byte-at-a-time table walk. The value is the same CRC — same
+//! polynomial, init and final XOR — so every stored checksum reads
+//! back unchanged.
 
-/// Reflected CRC-32 lookup table for polynomial `0xEDB88320`.
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the reflected CRC-32 table for polynomial
+/// `0xEDB88320`; `TABLES[k][b]` advances `TABLES[k − 1][b]` by one
+/// zero byte.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,17 +33,40 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 of `bytes` (IEEE, reflected, init/final xor `0xFFFFFFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -41,6 +74,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time table walk: the oracle the sliced loop must
+    /// equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn known_vectors() {
@@ -63,6 +106,27 @@ mod tests {
                 flipped[byte] ^= 1 << bit;
                 assert_ne!(crc32(&flipped), clean, "flip at {byte}.{bit} undetected");
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The sliced loop equals the byte-at-a-time oracle on every
+        /// length 0–64 (all eight remainders, several full steps), on
+        /// sub-slices starting at any offset, so alignment never
+        /// matters.
+        #[test]
+        fn sliced_crc_equals_the_bytewise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..=72),
+            start in 0usize..=8,
+            len in 0usize..=64,
+        ) {
+            let start = start.min(bytes.len());
+            let end = (start + len).min(bytes.len());
+            let slice = &bytes[start..end];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
         }
     }
 }

@@ -32,8 +32,8 @@
 //! The classic prefix filter is the `l = 1` case of Adapt-Join's
 //! generalized lemma. Write `α_x` for a sound per-side lower bound on
 //! the overlap any qualifying partner must have with `x` (`⌈t·|x|⌉`
-//! for a probe or symmetric index prefix, `⌈2t/(1+t)·|x|⌉` for the
-//! batch indexing prefix, which only ever meets longer probes). For any
+//! for a probe prefix, `⌈2t/(1+t)·|x|⌉` for an indexing prefix, which
+//! is sound only against a partner at least as long). For any
 //! `1 ≤ l ≤ ⌈t·|x|⌉`, if `|x ∩ y| ≥ α ≥ max(α_x, α_y)` then the first
 //! `min(|x|, |x| − α_x + l)` tokens of `x` and the first
 //! `min(|y|, |y| − α_y + l)` tokens of `y` (both in the global rank
@@ -43,6 +43,15 @@
 //! pairs before they ever surface as candidates. The cap
 //! `l ≤ ⌈t·|x|⌉` keeps the lemma sound when windows saturate at the
 //! record length (1-token records, `t = 1`).
+//!
+//! Both engines pair the longer record's probe prefix with the shorter
+//! one's indexing prefix (PPJoin's indexing-prefix lemma). The batch
+//! probe is always the longer side. A stream probe may be either: it
+//! counts a shorter-or-equal indexed record inside that record's
+//! indexing window, and reaches a longer one only from its own indexing
+//! window. A probe caps its level at `⌈t·|x|⌉` of its own length, which
+//! is at most `⌈t·|y|⌉` for a longer partner, so the cap holds for the
+//! longer side in either role.
 
 use crate::JoinStats;
 
@@ -257,10 +266,10 @@ impl Hits<'_> {
 /// One open probe (see [`ProbeScratch::start`]).
 ///
 /// **Phase 1** (engine-specific: each engine walks its own postings)
-/// feeds every tier-admissible window hit inside the length window to
-/// [`Hits::hit`] of its window position ([`Probe::at`]), in ascending
-/// position — so a candidate's first hit is its first shared token
-/// overall: tiers grow with position, and both token lists ascend in
+/// feeds every hit inside both records' windows and the length window
+/// to [`Hits::hit`] of its window position ([`Probe::at`]), in
+/// ascending position — so a candidate's first hit is its first shared
+/// token overall: windows are prefixes, and both token lists ascend in
 /// the same global rank order, so any earlier shared token would also
 /// be a counted hit at smaller `i` and `j`. `hit` drops first contacts
 /// past the position's truncation cutoff ([`Probe::cut`]); at level 1,
@@ -317,12 +326,6 @@ impl<'d> Probe<'_, 'd> {
     #[inline]
     pub fn candidates(&self) -> &[u32] {
         &self.scratch.cand
-    }
-
-    /// Sort the candidates by id — the canonical enumeration order,
-    /// independent of posting-list order.
-    pub fn sort_candidates(&mut self) {
-        self.scratch.cand.sort_unstable();
     }
 
     /// Phase 2 for candidate `y` (token list `ydoc`, signature `ysig`):
@@ -829,8 +832,11 @@ mod tests {
                     shared >= l,
                     "symmetric windows share {shared} < l={l} (lx={lx} ly={ly} t={t})"
                 );
-                // Asymmetric windows (the batch index): the shorter
-                // side is indexed with its indexing prefix.
+                // Asymmetric windows (the batch index, and the stream
+                // probe with the roles of probe and indexed record
+                // swapped when the indexed one is longer): the shorter
+                // side keeps only its indexing prefix. `cap` is the
+                // longer side's, so it covers the shorter probe's cap.
                 let wy = (index_prefix_len(ly, t) + l - 1).min(ly);
                 let shared = crowder_text::intersection_size_ids(&x[..wx], &y[..wy]);
                 proptest::prop_assert!(

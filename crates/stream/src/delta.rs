@@ -7,9 +7,20 @@
 //! stream has no such luxury: an arriving record may be shorter or
 //! longer than anything indexed. [`DeltaIndex`] therefore indexes each
 //! record's full **probe prefix** (`|y| − ⌈t·|y|⌉ + 1` rarest-ranked
-//! tokens) — the symmetric prefix-filter guarantee: any pair with
-//! Jaccard ≥ t shares a token between its two probe prefixes, whichever
-//! side is longer.
+//! tokens), and a probe decides per pair which windows it counts —
+//! PPJoin's indexing-prefix lemma applied to whichever side is longer:
+//!
+//! - an indexed `y` no longer than the probe `x` counts only inside its
+//!   shorter **indexing prefix** (`|y| − ⌈2t/(1+t)·|y|⌉ + 1` tokens),
+//!   against `x`'s whole probe window;
+//! - a longer `y` counts inside its probe prefix, but only from `x`'s
+//!   indexing prefix: past it, the probe's length window is clamped to
+//!   `|x|`.
+//!
+//! Any pair with Jaccard ≥ t shares a token between the two windows
+//! (at count-filter level `l`, both extended by `l − 1`, it shares `l`;
+//! see `crowder_simjoin::filters`). The windows are prefixes, so the
+//! pair's first shared token lies inside both.
 //!
 //! ## The probe: one index per join side, the shared kernel
 //!
@@ -32,16 +43,19 @@
 //! live records, and phase 1, which walks them.
 //!
 //! 1. **Hit collection.** One loop over the probe window, in ascending
-//!    probe position, feeds every tier-admissible posting inside
-//!    the length window to `Hits::hit`. The kernel keeps each
+//!    probe position, feeds every posting inside both windows and the
+//!    length window to `Hits::hit`. The kernel keeps each
 //!    candidate's first hit `(i, j)` — the pair's first shared prefix
 //!    token: both token lists ascend in the same global rank order (see
 //!    `StreamingDict`), so any smaller shared token would occupy smaller
 //!    `i` and `j` in both — and its hit count.
-//! 2. **Filter + verify.** Candidates, sorted by record id, go through
+//! 2. **Filter + verify.** Candidates, in first-hit order, go through
 //!    `Probe::verify`: the count filter, then the positional filter,
 //!    band-signature check, suffix filter, and resume-merge
 //!    verification at `(i+1, j+1)` with overlap exactly 1 at `(i, j)`.
+//!    The matches alone — under one per probe on the benchmark corpora,
+//!    against hundreds of candidates — are then sorted by record id and
+//!    emitted.
 //!
 //! ## Length-sorted postings — the binary-searched length skip
 //!
@@ -57,9 +71,10 @@
 //!
 //! Order within a length run is deliberately *immaterial*: phase 1
 //! visits probe positions in ascending order, so a candidate's first hit
-//! is its minimal-`i` hit whatever the run order, and phase 2 sorts the
-//! candidate ids, so probe output is a pure function of the corpus no
-//! matter what mutation history (or rebuild) populated the lists.
+//! is its minimal-`i` hit whatever the run order, every funnel bucket is
+//! a sum, and phase 2 sorts the matches by id, so probe output is a
+//! pure function of the corpus no matter what mutation history (or
+//! rebuild) populated the lists.
 //! Candidate enumeration — and therefore every downstream
 //! order-sensitive structure, e.g. cluster merge sequences — is
 //! reproducible across restarts; crash recovery depends on this.
@@ -72,12 +87,11 @@
 //! under its base prefix (the list lengths — exact, so the estimate is
 //! invariant under mutation history and rebuilds): on hot prefixes it
 //! extends the window and demands `level` shared window tokens per the
-//! generalized prefix lemma (see `crowder_simjoin::filters`). Hits at
-//! `tier ≥ level` are skipped, so a level-1 probe sees exactly the
-//! classic prefix index. A posting's tier — how far past its record's
-//! base prefix its position sits (`posting_tier`) — is not stored: it
-//! follows from the posting's position and length, so phase 1 works
-//! out one position limit per length run.
+//! generalized prefix lemma (see `crowder_simjoin::filters`). Every
+//! window above grows by `level − 1`, so a level-1 probe sees exactly
+//! the classic asymmetric windows. Whether a posting lies inside its
+//! record's window follows from its position and length, so phase 1
+//! works out one position limit per length run.
 //!
 //! Two more pre-candidate kills ride the same scan, both order
 //! insensitive:
@@ -106,7 +120,8 @@
 //! nothing.
 
 use crowder_simjoin::filters::{
-    extended_prefix_len, max_match_len, min_match_len, prefix_len, BandSignature, ProbeScratch,
+    extended_prefix_len, index_prefix_len, max_match_len, min_match_len, prefix_len, BandSignature,
+    ProbeScratch,
 };
 use crowder_simjoin::JoinStats;
 use crowder_text::jaccard_ids;
@@ -131,9 +146,9 @@ fn publish_probe_delta(before: &JoinStats, after: &JoinStats) {
 
 /// One index entry: the record holding the token, the record's length
 /// (the sort key of the list), and the token's position in that
-/// record's rank-sorted list. A probe at count-filter level `l` admits
-/// only positions below `prefix_len(len) + l − 1` (extension tier
-/// below `l`), so a level-1 probe sees exactly the classic index.
+/// record's rank-sorted list. A probe of `lx` tokens at count-filter
+/// level `l` admits only positions below `index_prefix_len(len) + l − 1`
+/// when `len ≤ lx`, and below `prefix_len(len) + l − 1` otherwise.
 #[derive(Debug, Clone, Copy)]
 struct Posting {
     record: u32,
@@ -233,6 +248,8 @@ pub struct DeltaIndex {
     sigs: Vec<BandSignature>,
     /// Scratch of the shared probe kernel.
     scratch: ProbeScratch,
+    /// One probe's matches `(record, similarity)`, reused across probes.
+    matches: Vec<(u32, f64)>,
     /// `false` for deleted records (slots are never reused).
     alive: Vec<bool>,
     /// Live record count.
@@ -249,6 +266,7 @@ impl DeltaIndex {
             docs: Vec::new(),
             sigs: Vec::new(),
             scratch: ProbeScratch::new(),
+            matches: Vec::new(),
             alive: Vec::new(),
             live: 0,
         }
@@ -563,36 +581,45 @@ impl DeltaIndex {
         if doc.is_empty() {
             return; // Jaccard with an empty set is 0 < threshold.
         }
-        let t = self.threshold;
-        let (min_ly, max_ly) = (min_match_len(doc.len(), t), max_match_len(doc.len(), t));
+        let (t, lx) = (self.threshold, doc.len());
+        let (min_ly, max_ly) = (min_match_len(lx, t), max_match_len(lx, t));
         let (postings, docs, sigs) = (&self.postings[probed as usize], &self.docs, &self.sigs);
         let sig = BandSignature::build(doc);
         let mut probe = self.scratch.start(doc, sig, t, docs.len(), |rank| {
             postings.get(&rank).map_or(0, |l| l.0.len() as u64)
         });
         let level = probe.level();
+        // Records longer than the probe are reached only from its
+        // indexing window.
+        let longer_reach = index_prefix_len(lx, t) + level - 1;
 
         // Phase 1: each list ascends in `len`, so the admissible
-        // lengths form one contiguous slice (clamped by the position's
-        // truncation cutoff at level 1).
+        // lengths form one contiguous slice (clamped to `lx` past the
+        // indexing window, and by the position's truncation cutoff at
+        // level 1).
         for (i, rank) in probe.window().iter().enumerate() {
             let Some(list) = postings.get(rank) else {
                 continue;
             };
-            let max_len = if level == 1 {
-                max_ly.min(probe.cut(i))
-            } else {
-                max_ly
-            };
+            let mut max_len = if i < longer_reach { max_ly } else { lx };
+            if level == 1 {
+                max_len = max_len.min(probe.cut(i));
+            }
             let mut hits = probe.at(i);
-            // A posting's tier is below `level` iff its position is
-            // below `prefix_len(len) + level − 1`; one limit per length
-            // run.
+            // A record no longer than the probe counts hits inside its
+            // indexing window, a longer one inside its probe window,
+            // each extended by `level − 1`: one limit per length run.
             let (mut run_len, mut pos_limit) = (0, 0);
             for p in list.within(min_ly, max_len) {
                 if p.len != run_len {
                     run_len = p.len;
-                    pos_limit = (prefix_len(run_len as usize, t) + level - 1) as u32;
+                    let ly = run_len as usize;
+                    let base = if ly <= lx {
+                        index_prefix_len(ly, t)
+                    } else {
+                        prefix_len(ly, t)
+                    };
+                    pos_limit = (base + level - 1) as u32;
                 }
                 if p.pos < pos_limit {
                     hits.hit(p.record, p.len as usize, p.pos);
@@ -600,14 +627,20 @@ impl DeltaIndex {
             }
         }
 
-        // Phase 2, in ascending record order: the canonical enumeration,
-        // independent of the order within length runs.
-        probe.sort_candidates();
+        // Phase 2 in first-hit order; only the matches are sorted, so
+        // the output ascends in record id whatever the order within
+        // length runs, and every funnel bucket is an order-free sum.
+        let matches = &mut self.matches;
+        matches.clear();
         for &y in probe.candidates() {
             let yi = y as usize;
             if let Some(sim) = probe.verify(y, &docs[yi], &sigs[yi], stats) {
-                emit(y, sim);
+                matches.push((y, sim));
             }
+        }
+        matches.sort_unstable_by_key(|&(y, _)| y);
+        for &(y, sim) in matches.iter() {
+            emit(y, sim);
         }
     }
 
@@ -1074,6 +1107,172 @@ mod tests {
                 "script exercised removes"
             );
             assert!(stats.results > 0, "{space:?}: script joined nothing");
+        }
+    }
+
+    /// Every live record on side `probed` (other than `skip`) whose
+    /// Jaccard similarity with `doc` reaches `t`, ascending: the
+    /// brute-force oracle of one probe.
+    fn brute_matches(index: &DeltaIndex, probed: u8, skip: u32, doc: &[u32]) -> Vec<(u32, f64)> {
+        (0..index.len() as u32)
+            .filter(|&y| y != skip && index.alive[y as usize])
+            .filter(|&y| index.sides[y as usize].is_some_and(|s| s.0 == probed))
+            .map(|y| (y, jaccard_ids(doc, &index.docs[y as usize])))
+            .filter(|&(_, sim)| !doc.is_empty() && sim >= index.threshold)
+            .collect()
+    }
+
+    /// The count-filter level a probe of `doc` on side `probed` picks,
+    /// worked out the way `ProbeScratch::start` does.
+    fn level_of(index: &DeltaIndex, probed: u8, doc: &[u32]) -> usize {
+        let t = index.threshold;
+        crowder_simjoin::filters::adaptive_level(doc, prefix_len(doc.len(), t), t, |rank| {
+            index.postings[probed as usize]
+                .get(&rank)
+                .map_or(0, |l| l.0.len() as u64)
+        })
+    }
+
+    /// The asymmetric windows at count-filter levels 2 and 3: a corpus
+    /// on a small, skewed vocabulary gives hot posting lists, so probes
+    /// extend their windows. Arrivals come in ascending-length,
+    /// descending-length and alternating order, with updates that
+    /// lengthen or shorten a record, removes and re-ranks between them.
+    /// Every insert and update equals the brute-force oracle, and a
+    /// query equals what the insert then surfaces.
+    #[test]
+    fn asymmetric_windows_stay_exact_at_count_filter_levels_two_and_three() {
+        const WORDS: [&str; 20] = [
+            "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q",
+            "r", "s", "t",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut roll = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for (space, order) in [
+            (PairSpace::SelfJoin, "ascending"),
+            (PairSpace::SelfJoin, "descending"),
+            (PairSpace::SelfJoin, "alternating"),
+            (
+                PairSpace::CrossSource(SourceId(0), SourceId(1)),
+                "alternating",
+            ),
+        ] {
+            // Skewed draws: low word indexes are frequent.
+            let mut names: Vec<Vec<&str>> = (0..360)
+                .map(|_| {
+                    let mut words: Vec<&str> = (0..3 + roll(10))
+                        .map(|_| {
+                            let hot = 1 + roll(WORDS.len());
+                            WORDS[roll(hot)]
+                        })
+                        .collect();
+                    words.sort_unstable();
+                    words.dedup();
+                    words
+                })
+                .collect();
+            names.sort_by_key(|w| w.len());
+            match order {
+                "descending" => names.reverse(),
+                "alternating" => {
+                    let (short, long) = names.split_at(names.len() / 2);
+                    names = short
+                        .iter()
+                        .zip(long.iter().rev())
+                        .flat_map(|(s, l)| [s.clone(), l.clone()])
+                        .collect();
+                }
+                _ => {}
+            }
+            let threshold = 0.4;
+            let mut dataset = Dataset::new("t", vec!["name".into()], space);
+            let mut dict = StreamingDict::new();
+            let mut index = DeltaIndex::new(threshold);
+            let mut token_ids: Vec<Vec<u32>> = Vec::new();
+            let mut current: Vec<Vec<&str>> = Vec::new();
+            let mut levels = [0usize; 4];
+            let mut results = 0;
+            for (k, words) in names.iter().enumerate() {
+                let source = SourceId((k % 2) as u8);
+                let ids = dict.encode_record(words.iter().copied());
+                let doc = dict.sorted_ranks(&ids);
+                dataset.push_record(source, vec![words.join(" ")]).unwrap();
+                let (_, probed) = sides_of(&dataset, k).expect("both sources join");
+                levels[level_of(&index, probed, &doc)] += 1;
+                let (mut queried, mut stats) = (Vec::new(), JoinStats::default());
+                index.probe_query(probed as usize, &doc, &mut queried, &mut stats);
+                token_ids.push(ids);
+                current.push(words.clone());
+                let x = k as u32;
+                let expected = brute_matches(&index, probed, x, &doc);
+                let mut out = Vec::new();
+                index.join_and_insert(&dataset, doc, &mut out, &mut stats);
+                let got: Vec<(u32, f64)> = out
+                    .iter()
+                    .map(|sp| (sp.pair.lo().0, sp.likelihood))
+                    .collect();
+                assert_eq!(got, expected, "{space:?} {order}: insert {k}");
+                let queried: Vec<(u32, f64)> = queried.iter().map(|&(y, s)| (y.0, s)).collect();
+                assert_eq!(queried, expected, "{space:?} {order}: query {k}");
+                results += got.len();
+
+                // Every fifth arrival, lengthen or shorten a live record.
+                if k % 5 == 4 {
+                    let live: Vec<u32> = (0..index.len() as u32)
+                        .filter(|&r| index.is_alive(RecordId(r)))
+                        .collect();
+                    let record = live[roll(live.len())];
+                    let old = &current[record as usize];
+                    let new: Vec<&str> = if roll(2) == 0 {
+                        old.iter()
+                            .copied()
+                            .chain((0..4).map(|_| WORDS[roll(20)]))
+                            .collect()
+                    } else {
+                        old[..old.len().div_ceil(2)].to_vec()
+                    };
+                    let ids = dict.encode_record(new.iter().copied());
+                    let doc = dict.sorted_ranks(&ids);
+                    let (_, probed) = index.sides[record as usize].unwrap();
+                    levels[level_of(&index, probed, &doc)] += 1;
+                    dataset
+                        .set_fields(RecordId(record), vec![new.join(" ")])
+                        .unwrap();
+                    token_ids[record as usize] = ids;
+                    current[record as usize] = new;
+                    let mut out = Vec::new();
+                    // The oracle sees the corpus without the record's old
+                    // doc, as `update_doc` probes it.
+                    let expected = brute_matches(&index, probed, record, &doc);
+                    index.update_doc(&dataset, RecordId(record), doc, &mut out, &mut stats);
+                    let got: Vec<(u32, f64)> = out
+                        .iter()
+                        .map(|sp| (sp.pair.other(RecordId(record)).unwrap().0, sp.likelihood))
+                        .collect();
+                    assert_eq!(got, expected, "{space:?} {order}: update of {record}");
+                }
+                if k % 37 == 36 {
+                    let live: Vec<u32> = (0..index.len() as u32)
+                        .filter(|&r| index.is_alive(RecordId(r)))
+                        .collect();
+                    index.remove(RecordId(live[roll(live.len())]));
+                }
+                if k % 97 == 96 {
+                    dict.rerank();
+                    index.rebuild(&dict, &token_ids);
+                }
+            }
+            assert_live_only(&index);
+            assert!(results > 0, "{space:?} {order}: joined nothing");
+            assert!(
+                levels[2] > 0 && levels[3] > 0,
+                "{space:?} {order}: levels {levels:?} miss level 2 or 3"
+            );
         }
     }
 }

@@ -22,6 +22,12 @@
 //!   engine's order — and the caller re-encodes its records against
 //!   the new ranks.
 //!
+//! Document frequencies count the **live** records: the resolver
+//! [`release`](StreamingDict::release)s a removed record's ids, and an
+//! updated record's old ids before its new fields are interned, so an
+//! epoch orders tokens as the batch engine would order the live corpus.
+//! A token whose frequency falls to 0 keeps its stable id and rank.
+//!
 //! Between epochs, fresh tokens take ranks *below* every epoch-ranked
 //! token, newest first, from a reserved band of [`FRESH_SPAN`] values.
 //! A record's unseen tokens get their ids, and so their fresh ranks, in
@@ -126,6 +132,13 @@ impl StreamingDict {
             self.rank_of.push(FRESH_SPAN - self.fresh);
         }
         self.scratch.clone()
+    }
+
+    /// Take a record's stable `ids` back out of the document
+    /// frequencies ([`TokenDict::release`]): the record was removed, or
+    /// is about to be re-interned by an update. Ids and ranks stay.
+    pub fn release(&mut self, ids: &[u32]) {
+        self.dict.release(ids);
     }
 
     /// The stable ids, ascending, of a record whose tokens are all

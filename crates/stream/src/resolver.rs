@@ -393,6 +393,7 @@ impl IncrementalResolver {
             )));
         }
         self.index.remove(record);
+        self.dict.release(&self.token_ids[record.index()]);
 
         // Every pair with machine support or crowd evidence goes. A
         // machine pair of a live record is a cluster edge unless it is
@@ -464,6 +465,7 @@ impl IncrementalResolver {
         // Schema validation happens before any other mutation.
         self.dataset.set_fields(record, fields)?;
         let fields = &self.dataset.record(record)?.fields;
+        self.dict.release(&self.token_ids[record.index()]);
         let ids = self.dict.encode_record(fields.iter().map(String::as_str));
         let doc = self.dict.sorted_ranks(&ids);
         let mut new_pairs = Vec::new();
@@ -1984,5 +1986,75 @@ mod tests {
             (r.ranked_pairs(), r.cluster_count(), r.dirty_clusters()),
             before
         );
+    }
+
+    /// The exported document frequency of each token, by token string.
+    fn exported_dfs(r: &mut IncrementalResolver) -> HashMap<String, u32> {
+        r.regenerate_hits().unwrap();
+        let state = r.export_state().unwrap();
+        state.dict_tokens.into_iter().zip(state.dict_dfs).collect()
+    }
+
+    #[test]
+    fn document_frequencies_follow_the_live_corpus() {
+        let mut r = resolver(0.4);
+        feed(&mut r, &["alpha beta", "alpha gamma"]);
+        r.update(RecordId(0), vec!["delta beta".into()]).unwrap();
+        r.remove(RecordId(1)).unwrap();
+        let dfs = exported_dfs(&mut r);
+        let expected = [("alpha", 0), ("beta", 1), ("gamma", 0), ("delta", 1)];
+        for (token, df) in expected {
+            assert_eq!(dfs[token], df, "{token}: {dfs:?}");
+        }
+        assert_eq!(dfs.len(), expected.len(), "released tokens keep their ids");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// After any script of inserts, updates and removes, each
+        /// exported document frequency equals a recount over the live
+        /// records, and tokens no live record holds read 0.
+        #[test]
+        fn exported_dfs_equal_a_recount_over_live_records(
+            script in proptest::collection::vec((0usize..10, 0usize..64, 0u32..1 << 20), 1..40),
+        ) {
+            const WORDS: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
+            let mut r = resolver(0.4);
+            let mut live: Vec<Option<String>> = Vec::new();
+            for (op, pick, bits) in script {
+                let name: Vec<&str> = (0..WORDS.len())
+                    .filter(|w| bits >> (2 * w) & 3 == 0)
+                    .map(|w| WORDS[w])
+                    .collect();
+                let name = name.join(" ");
+                let alive: Vec<usize> = (0..live.len()).filter(|&i| live[i].is_some()).collect();
+                match op {
+                    0..=3 if !alive.is_empty() => {
+                        let record = alive[pick % alive.len()];
+                        if op < 2 {
+                            r.remove(RecordId(record as u32)).unwrap();
+                            live[record] = None;
+                        } else {
+                            r.update(RecordId(record as u32), vec![name.clone()]).unwrap();
+                            live[record] = Some(name);
+                        }
+                    }
+                    _ => {
+                        r.insert(SourceId(0), vec![name.clone()]).unwrap();
+                        live.push(Some(name));
+                    }
+                }
+            }
+            let mut recount: HashMap<String, u32> = HashMap::new();
+            for name in live.iter().flatten() {
+                for token in crowder_text::tokenize(name).tokens() {
+                    *recount.entry(token.clone()).or_default() += 1;
+                }
+            }
+            for (token, df) in exported_dfs(&mut r) {
+                proptest::prop_assert_eq!(df, recount.get(&token).copied().unwrap_or(0), "{}", token);
+            }
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! * adaptive tier: 16,037 — the count filter and truncation kill ~25x
 //!   of the old candidate stage before any per-pair work, with the
 //!   result set bit-identical (1,425 pairs);
-//! * side-split delta index: **9,310** — the 8,148 intra-source
-//!   candidates are never enumerated (see below).
+//! * side-split delta index: 9,310 — the 8,148 intra-source
+//!   candidates are never enumerated (see below);
+//! * length-asymmetric windows: **5,946** (see the end).
 //!
 //! The batch join's index is split by join side (each record probes
 //! only the partner source's postings), so its Product rows count no
@@ -55,6 +56,21 @@
 //!   `[9310, 1684, —, 6059, 131, 1436, 1425]`;
 //! * t = 0.6: `[3725, —, —, 961, —, 94, 88]` (the buckets pinned) →
 //!   `[4474, 2606, —, 1769, 5, 94, 88]`.
+//!
+//! The stream probe then took PPJoin's indexing-prefix lemma: an
+//! indexed record no longer than the arrival counts hits only inside
+//! its shorter indexing prefix, and a longer one is reached only from
+//! the arrival's indexing prefix. Fewer single-token contacts surface,
+//! mostly ones the positional filter used to kill, and the results are
+//! unchanged. The verified count at t = 0.3 drops by one: a pair below
+//! the threshold that used to reach verification no longer shares a
+//! token inside both windows. Before → after, as `[candidates, positional,
+//! signature, suffix, verified, results]`:
+//!
+//! * t = 0.3: `[9310, 1684, 6059, 131, 1436, 1425]` →
+//!   `[5946, 415, 3999, 97, 1435, 1425]`;
+//! * t = 0.6: `[4474, 2606, 1769, 5, 94, 88]` →
+//!   `[2563, 713, 1752, 4, 94, 88]`.
 
 use crowder_datagen::{product, restaurant, ProductConfig, RestaurantConfig};
 use crowder_simjoin::{
@@ -109,11 +125,11 @@ fn stream_product(threshold: f64) -> (JoinStats, usize) {
 #[test]
 fn product_funnel_is_pinned_at_the_bench_threshold() {
     let (stats, pairs) = stream_product(0.3);
-    assert_eq!(stats.candidates, 9_310, "candidate stage diverged");
-    assert_eq!(stats.positional_pruned, 1_684, "positional stage diverged");
-    assert_eq!(stats.signature_rejected, 6_059, "signature stage diverged");
-    assert_eq!(stats.suffix_pruned, 131, "suffix stage diverged");
-    assert_eq!(stats.verified, 1_436, "verify stage diverged");
+    assert_eq!(stats.candidates, 5_946, "candidate stage diverged");
+    assert_eq!(stats.positional_pruned, 415, "positional stage diverged");
+    assert_eq!(stats.signature_rejected, 3_999, "signature stage diverged");
+    assert_eq!(stats.suffix_pruned, 97, "suffix stage diverged");
+    assert_eq!(stats.verified, 1_435, "verify stage diverged");
     assert_leak_free(&stats, "stream product t=0.3");
     assert_eq!(pairs, 1_425, "result set diverged");
 }
@@ -132,8 +148,9 @@ fn product_candidates_stay_under_the_enforced_ceiling() {
 
 /// t = 0.6 — the length window and truncation both bite. The pre-tier
 /// length-bucketed walk surfaced 68,383 candidates; the adaptive tier
-/// cut that to 3,725, and the side split (lower levels on the smaller
-/// partner side) reads 4,474, with identical results.
+/// cut that to 3,725, the side split (lower levels on the smaller
+/// partner side) read 4,474, and the length-asymmetric windows read
+/// 2,563, with identical results.
 #[test]
 fn tight_threshold_funnel_is_pinned() {
     const PRE_TIER_CANDIDATES: u64 = 68_383;
@@ -144,8 +161,10 @@ fn tight_threshold_funnel_is_pinned() {
         stats.candidates,
         PRE_TIER_CANDIDATES
     );
-    assert_eq!(stats.candidates, 4_474, "candidate stage diverged");
-    assert_eq!(stats.signature_rejected, 1_769, "signature stage diverged");
+    assert_eq!(stats.candidates, 2_563, "candidate stage diverged");
+    assert_eq!(stats.positional_pruned, 713, "positional stage diverged");
+    assert_eq!(stats.signature_rejected, 1_752, "signature stage diverged");
+    assert_eq!(stats.suffix_pruned, 4, "suffix stage diverged");
     assert_eq!(stats.verified, 94, "verify stage diverged");
     assert_leak_free(&stats, "stream product t=0.6");
     assert_eq!(pairs, 88, "result set diverged");

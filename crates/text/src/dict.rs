@@ -96,6 +96,17 @@ impl TokenDict {
         }
     }
 
+    /// Take one record's distinct `ids` back out of the document
+    /// frequencies — the record left the corpus or lost these tokens.
+    /// A token whose frequency reaches 0 keeps its id. Saturates at 0,
+    /// so dfs imported from outside cannot wrap.
+    pub fn release(&mut self, ids: &[u32]) {
+        for &id in ids {
+            let df = &mut self.freqs[id as usize];
+            *df = df.saturating_sub(1);
+        }
+    }
+
     /// Scan one record without interning: write the distinct ids of its
     /// known tokens, ascending, into `known`, and return its distinct
     /// unseen tokens, ascending. Only the reused buffers change.
